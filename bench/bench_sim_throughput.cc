@@ -1,14 +1,13 @@
-// Host-side simulator throughput: three decode/execute paths (legacy decode-every-step,
-// predecoded-instruction cache, block-compiled) × the four adjacency encodings, plus
-// RandomSearch wall-clock at 1 vs N threads.
+// Host-side simulator throughput: block-compiled execution, unprofiled and under both
+// profilers (block-granular counters; the step interpreter with a CpuProbe attached) ×
+// the adjacency encodings, plus RandomSearch wall-clock at 1 vs N threads.
 //
 // Every reported paper metric (cycles, latency) flows through the CPU's execute loop, so
 // simulation speed bounds how many candidate architectures a search can afford. This bench
-// tracks what the decode cache and the block compiler (src/sim/cpu.*) buy in host
-// wall-clock per simulated inference and in simulated MIPS, verifies cycle counts are
-// bit-identical across all three paths, and times RandomSearch across thread counts
-// (asserting the results are byte-identical, the contract that makes parallel search safe
-// to use for paper numbers). Emits BENCH_sim_throughput.json.
+// tracks host wall-clock per simulated inference and simulated MIPS on each path,
+// verifies cycle counts are bit-identical across them, and times RandomSearch across
+// thread counts (asserting the results are byte-identical, the contract that makes
+// parallel search safe to use for paper numbers). Emits BENCH_sim_throughput.json.
 //
 // `--smoke` shrinks repetitions/trials to seconds so the tier-1 ctest sweep can run this
 // binary and keep it from bit-rotting.
@@ -37,15 +36,13 @@ namespace neuroc {
 namespace {
 
 // Best of kRepeats timed runs — a shared host can slow any single run arbitrarily but
-// cannot make one faster than the machine allows. The three execute paths are timed in
+// cannot make one faster than the machine allows. The execute paths are timed in
 // alternating blocks so a noisy window penalizes all of them rather than skewing a ratio.
 constexpr int kRepeats = 5;
-// legacy / cached / block, plus three profiled paths: block-compiled execution with the
-// block-granular counters (block_profiled) and the step-interpreter CpuProbe profiler
-// over both step paths (step_profiled = predecode cache + probe, legacy_profiled =
-// decode-every-step + probe, the pre-block-profiler default). The profiled rows bound
-// what turning attribution on costs on each path.
-constexpr int kModes = 6;
+// block, plus two profiled paths: block-compiled execution with the block-granular
+// counters (block_profiled) and the step interpreter under the CpuProbe profiler
+// (step_profiled). The profiled rows bound what turning attribution on costs.
+constexpr int kModes = 3;
 
 double Seconds(std::chrono::steady_clock::time_point t0,
                std::chrono::steady_clock::time_point t1) {
@@ -71,7 +68,7 @@ NeuroCModel MakeBenchModel(EncodingKind kind) {
 
 struct InferenceResult {
   std::string encoding;
-  std::string decode;  // "legacy" | "cached" | "block"
+  std::string decode;  // "block" | "block_profiled" | "step_profiled"
   uint64_t cycles_per_inference = 0;
   uint64_t instructions_per_inference = 0;
   double wall_ms_per_inference = 0.0;
@@ -90,40 +87,28 @@ double TimeBlock(DeployedModel& deployed, const std::vector<int8_t>& input, int 
   const auto t1 = std::chrono::steady_clock::now();
   const uint64_t instr = deployed.machine().cpu().instructions() - instr0;
   r.instructions_per_inference = instr / static_cast<uint64_t>(reps);
-  // The reported cycle count must not depend on the decode path or the repetition.
+  // The reported cycle count must not depend on the execute path or the repetition.
   NEUROC_CHECK(deployed.report().cycles_per_inference == r.cycles_per_inference);
   return Seconds(t0, t1);
 }
 
-// Measures the six execute/profile paths for one encoding, alternating timed blocks
+// Measures the three execute/profile paths for one encoding, alternating timed blocks
 // kRepeats times and keeping the best block of each.
-// Returns {legacy, cached, block, block_profiled, step_profiled, legacy_profiled}.
+// Returns {block, block_profiled, step_profiled}.
 std::array<InferenceResult, kModes> RunInferenceSweep(EncodingKind kind, int reps) {
-  DeployedModel legacy = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel cached = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel block = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel block_prof = DeployedModel::Deploy(MakeBenchModel(kind));
   DeployedModel step_prof = DeployedModel::Deploy(MakeBenchModel(kind));
-  DeployedModel legacy_prof = DeployedModel::Deploy(MakeBenchModel(kind));
-  legacy.machine().cpu().EnableDecodeCache(false);
-  cached.machine().cpu().EnableBlockCompile(false);  // predecode cache only
-  legacy_prof.machine().cpu().EnableDecodeCache(false);
   BlockProfiler block_profiler(block_prof.machine().cpu());
   SimProfiler step_profiler;
   ScopedCpuProbe attach_step(step_prof.machine().cpu(), &step_profiler);
-  SimProfiler legacy_profiler;
-  ScopedCpuProbe attach_legacy(legacy_prof.machine().cpu(), &legacy_profiler);
   Rng rng(17);
-  const std::vector<int8_t> input = MakeRandomInput(legacy.input_dim(), rng);
+  const std::vector<int8_t> input = MakeRandomInput(block.input_dim(), rng);
   std::array<InferenceResult, kModes> out;
-  out[0].decode = "legacy";
-  out[1].decode = "cached";
-  out[2].decode = "block";
-  out[3].decode = "block_profiled";
-  out[4].decode = "step_profiled";
-  out[5].decode = "legacy_profiled";
-  std::array<DeployedModel*, kModes> models = {&legacy,     &cached,    &block,
-                                               &block_prof, &step_prof, &legacy_prof};
+  out[0].decode = "block";
+  out[1].decode = "block_profiled";
+  out[2].decode = "step_profiled";
+  std::array<DeployedModel*, kModes> models = {&block, &block_prof, &step_prof};
   std::array<double, kModes> best = {};
   for (int which = 0; which < kModes; ++which) {
     out[which].encoding = EncodingKindName(kind);
@@ -263,18 +248,6 @@ int main(int argc, char** argv) {
   }
   w.EndArray();
   w.Key("speedups").BeginObject();
-  for (size_t i = 0; i + kModes - 1 < inference.size(); i += kModes) {
-    const InferenceResult& legacy = inference[i];
-    const InferenceResult& cached = inference[i + 1];
-    const InferenceResult& block = inference[i + 2];
-    char key[64];
-    std::snprintf(key, sizeof(key), "cached_vs_legacy_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(legacy.wall_ms_per_inference / cached.wall_ms_per_inference, 3);
-    std::snprintf(key, sizeof(key), "block_vs_cached_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(cached.wall_ms_per_inference / block.wall_ms_per_inference, 3);
-    std::snprintf(key, sizeof(key), "block_vs_legacy_%s", legacy.encoding.c_str());
-    w.Key(key).ValueFixed(legacy.wall_ms_per_inference / block.wall_ms_per_inference, 3);
-  }
   w.Key("search_4t_vs_1t").ValueFixed(s1.wall_ms / s4.wall_ms, 3);
   w.EndObject();
   // Profiling cost: the block-granular profiler must stay within a few percent of the
@@ -282,10 +255,9 @@ int main(int argc, char** argv) {
   // obs PR's ≥5x acceptance bar reads).
   w.Key("profiling").BeginObject();
   for (size_t i = 0; i + kModes - 1 < inference.size(); i += kModes) {
-    const InferenceResult& block = inference[i + 2];
-    const InferenceResult& bp = inference[i + 3];
-    const InferenceResult& sp = inference[i + 4];
-    const InferenceResult& lp = inference[i + 5];
+    const InferenceResult& block = inference[i];
+    const InferenceResult& bp = inference[i + 1];
+    const InferenceResult& sp = inference[i + 2];
     char key[64];
     std::snprintf(key, sizeof(key), "block_profiled_overhead_%s",
                   block.encoding.c_str());
@@ -293,9 +265,6 @@ int main(int argc, char** argv) {
     std::snprintf(key, sizeof(key), "block_profiled_vs_step_profiled_%s",
                   block.encoding.c_str());
     w.Key(key).ValueFixed(sp.wall_ms_per_inference / bp.wall_ms_per_inference, 3);
-    std::snprintf(key, sizeof(key), "block_profiled_vs_legacy_profiled_%s",
-                  block.encoding.c_str());
-    w.Key(key).ValueFixed(lp.wall_ms_per_inference / bp.wall_ms_per_inference, 3);
   }
   w.EndObject();
   // Energy proxy per inference (deterministic: derived from attributed cycles and
@@ -315,16 +284,9 @@ int main(int argc, char** argv) {
     w.EndObject();
   }
   w.EndObject();
-  // Context for the ratios: the legacy comparator here is the decode-every-step path of
-  // the *current* binary, which already shares the inlined MemoryMap accessors, and the
-  // search speedup is bounded by the cores the host actually grants us.
+  // Context for the ratios: the search speedup is bounded by the cores the host actually
+  // grants us.
   w.Key("notes").BeginArray();
-  w.Value(
-      "cached_vs_legacy compares decode paths within this binary; decode+fetch is "
-      "~50% of a legacy step, so the ratio is Amdahl-capped near 2x");
-  w.Value(
-      "block fuses straight-line basic blocks into one dispatch with batched "
-      "accounting and lazy APSR flags, breaking the per-step Amdahl cap");
   w.Value("search_4t_vs_1t cannot exceed 1x when host_threads_available is 1");
   w.EndArray();
   w.Key("search").BeginObject();

@@ -10,17 +10,21 @@ namespace neuroc {
 
 namespace {
 
-// One reference/device comparison across all three simulator decode paths. `block` runs
-// block-compiled execution (the deploy default), `cached` the predecoded-instruction path
-// with block fusion off, `legacy` the decode-every-step interpreter — all must agree with
-// the host byte-for-byte, and with each other on cycle counts (both the predecode cache
-// and block compilation are pure performance transforms).
+// Attaching any CpuProbe routes Cpu::Run through the step interpreter for every
+// instruction; this one observes nothing.
+struct StepOnlyProbe : CpuProbe {
+  void OnRetire(uint32_t, Op, uint32_t) override {}
+};
+
+// One reference/device comparison across both simulator execution paths. `block` runs
+// block-compiled execution (the deploy default), `step` the step interpreter (probe
+// attached) — both must agree with the host byte-for-byte, and with each other on cycle
+// counts (block compilation is a pure performance transform).
 template <typename Model>
 CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
   auto block_or = DeployedModel::TryDeploy(model);
-  auto cached_or = DeployedModel::TryDeploy(model);
-  auto legacy_or = DeployedModel::TryDeploy(model);
-  for (const auto* d : {&block_or, &cached_or, &legacy_or}) {
+  auto step_or = DeployedModel::TryDeploy(model);
+  for (const auto* d : {&block_or, &step_or}) {
     if (!d->ok()) {
       if (d->status().code() == ErrorCode::kResourceExhausted) {
         return {FuzzVerdict::kSkip, "resource_exhausted: model does not fit the device"};
@@ -28,15 +32,13 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
       return {FuzzVerdict::kFail, "deploy failed: " + d->status().ToString()};
     }
   }
+  StepOnlyProbe probe;  // declared first so it outlives its attachment
   struct Mode {
     const char* name;
     DeployedModel deployed;
   };
-  Mode modes[] = {{"block", std::move(*block_or)},
-                  {"cached", std::move(*cached_or)},
-                  {"legacy", std::move(*legacy_or)}};
-  modes[1].deployed.machine().cpu().EnableBlockCompile(false);
-  modes[2].deployed.machine().cpu().EnableDecodeCache(false);
+  Mode modes[] = {{"block", std::move(*block_or)}, {"step", std::move(*step_or)}};
+  modes[1].deployed.machine().cpu().set_probe(&probe);
 
   const std::vector<std::vector<int8_t>> inputs = KernelCaseInputs(c);
   std::vector<int8_t> expected;
@@ -47,7 +49,7 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
 
     uint64_t block_cycles = 0;
     for (Mode& mode : modes) {
-      const std::string where = std::string(", decode mode ") + mode.name + which;
+      const std::string where = std::string(", path ") + mode.name + which;
       const StatusOr<int> pred = mode.deployed.TryPredict(inputs[i]);
       if (!pred.ok()) {
         return {FuzzVerdict::kFail, "guest fault" + where + ": " + pred.status().ToString()};
@@ -63,7 +65,7 @@ CaseResult CompareAgainstHost(const FuzzCase& c, const Model& model) {
         block_cycles = cycles;
       } else if (cycles != block_cycles) {
         return {FuzzVerdict::kFail,
-                "cycle count differs between decode modes" + which + ": block=" +
+                "cycle count differs between execution paths" + which + ": block=" +
                     std::to_string(block_cycles) + " " + mode.name + "=" +
                     std::to_string(cycles)};
       }

@@ -4,9 +4,10 @@
 // a case behaves identically whether it runs inside a parallel campaign, a corpus replay,
 // or a minimizer probe.
 //
-//   kernel  host NeuroCModel/MlpModel inference vs the simulated Thumb kernels, with the
-//           predecode cache on and off: outputs must match the host byte-for-byte and the
-//           two cache modes must report identical cycle counts.
+//   kernel  host NeuroCModel/MlpModel inference vs the simulated Thumb kernels, run once on
+//           block dispatch and once on the step interpreter (probe attached): outputs must
+//           match the host byte-for-byte and the two execution paths must report
+//           identical cycle counts.
 //   isa     random halfwords: valid decodes must fix-point through encode -> decode (and,
 //           for textually round-trippable ops, disassemble -> assemble -> decode), and
 //           every halfword — valid or not — must execute or fault *structurally* on the

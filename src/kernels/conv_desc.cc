@@ -44,9 +44,9 @@ PackedConvLayer PackConvLayer(Machine& machine, const ConvLayerSpec& spec,
   out.output_addr =
       (ram_base + static_cast<uint32_t>(c * n * n) + 3u) & ~3u;
 
-  // Flash blob: descriptor (10 words) | rel offsets u16[field] | pixel bases u16[m*m] |
+  // Flash blob: descriptor (ConvDescWord) | rel offsets u16[field] | pixel bases u16[m*m] |
   // weights q7 | bias i32.
-  std::vector<uint8_t> blob(10 * 4, 0);
+  std::vector<uint8_t> blob(kConvDescWordCount * 4, 0);
   // Relative offsets of each weight element within the input, from the receptive-field
   // origin pixel (top-left of the window in channel 0).
   const uint32_t rel_off = static_cast<uint32_t>(blob.size());
@@ -78,22 +78,22 @@ PackedConvLayer PackConvLayer(Machine& machine, const ConvLayerSpec& spec,
     PushWord(blob, static_cast<uint32_t>(bv));
   }
   // Fill the descriptor.
-  auto put_word = [&](int index, uint32_t v) {
+  auto put_word = [&](ConvDescWord index, uint32_t v) {
     blob[static_cast<size_t>(index) * 4 + 0] = static_cast<uint8_t>(v & 0xFF);
     blob[static_cast<size_t>(index) * 4 + 1] = static_cast<uint8_t>((v >> 8) & 0xFF);
     blob[static_cast<size_t>(index) * 4 + 2] = static_cast<uint8_t>((v >> 16) & 0xFF);
     blob[static_cast<size_t>(index) * 4 + 3] = static_cast<uint8_t>((v >> 24) & 0xFF);
   };
-  put_word(0, static_cast<uint32_t>(m * m));          // num_pixels
-  put_word(1, static_cast<uint32_t>(k));              // num_filters
-  put_word(2, static_cast<uint32_t>(field));          // field_size
-  put_word(3, flash_base + rel_off);                  // rel offsets
-  put_word(4, flash_base + w_off);                    // weights
-  put_word(5, flash_base + b_off);                    // bias
-  put_word(6, static_cast<uint32_t>(spec.shift));     // shift
-  put_word(7, out.input_addr);                        // input
-  put_word(8, out.output_addr);                       // output
-  put_word(9, flash_base + pix_off);                  // pixel bases
+  put_word(kConvDescNumPixels, static_cast<uint32_t>(m * m));
+  put_word(kConvDescNumFilters, static_cast<uint32_t>(k));
+  put_word(kConvDescFieldSize, static_cast<uint32_t>(field));
+  put_word(kConvDescRelOffsetsAddr, flash_base + rel_off);
+  put_word(kConvDescWeightsAddr, flash_base + w_off);
+  put_word(kConvDescBiasAddr, flash_base + b_off);
+  put_word(kConvDescShift, static_cast<uint32_t>(spec.shift));
+  put_word(kConvDescInputAddr, out.input_addr);
+  put_word(kConvDescOutputAddr, out.output_addr);
+  put_word(kConvDescPixelBasesAddr, flash_base + pix_off);
 
   machine.LoadBytes(flash_base, blob);
   out.desc_addr = flash_base;

@@ -23,6 +23,22 @@ struct ConvLayerSpec {
   int shift = 7;         // requantization shift
 };
 
+// Conv descriptor layout, one 32-bit word per field: PackConvLayer writes it and the
+// Fig. 2 kernel (GenerateConvKernelSource) reads it at byte offset 4 * word.
+enum ConvDescWord : uint32_t {
+  kConvDescNumPixels = 0,       // M*M
+  kConvDescNumFilters = 1,      // K
+  kConvDescFieldSize = 2,       // C*S*S
+  kConvDescRelOffsetsAddr = 3,  // u16 [field] receptive-field-relative offsets
+  kConvDescWeightsAddr = 4,     // q7 [K][field]
+  kConvDescBiasAddr = 5,        // i32 [K]
+  kConvDescShift = 6,
+  kConvDescInputAddr = 7,       // int8 [C*N*N], channel-planar
+  kConvDescOutputAddr = 8,      // q7 [K][pixels]
+  kConvDescPixelBasesAddr = 9,  // u16 [pixels] per-output-pixel base offsets
+  kConvDescWordCount = 10,
+};
+
 struct PackedConvLayer {
   uint32_t desc_addr = 0;
   uint32_t input_addr = 0;   // int8 [C*N*N], channel-planar

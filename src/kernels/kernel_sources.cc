@@ -3,6 +3,7 @@
 #include <string_view>
 
 #include "src/common/check.h"
+#include "src/kernels/conv_desc.h"
 
 namespace neuroc {
 
@@ -25,6 +26,18 @@ constexpr int kOffWeights = kDescWeightsAddr * 4;
 constexpr int kOffInput = kDescInputAddr * 4;
 constexpr int kOffOutput = kDescOutputAddr * 4;
 constexpr int kOffScratch = kDescScratchAddr * 4;
+
+// Conv descriptor field byte offsets (see ConvDescWord in src/kernels/conv_desc.h).
+constexpr int kConvOffNumPixels = kConvDescNumPixels * 4;
+constexpr int kConvOffNumFilters = kConvDescNumFilters * 4;
+constexpr int kConvOffFieldSize = kConvDescFieldSize * 4;
+constexpr int kConvOffRelOffsets = kConvDescRelOffsetsAddr * 4;
+constexpr int kConvOffWeights = kConvDescWeightsAddr * 4;
+constexpr int kConvOffBias = kConvDescBiasAddr * 4;
+constexpr int kConvOffShift = kConvDescShift * 4;
+constexpr int kConvOffInput = kConvDescInputAddr * 4;
+constexpr int kConvOffOutput = kConvDescOutputAddr * 4;
+constexpr int kConvOffPixelBases = kConvDescPixelBasesAddr * 4;
 
 // Stack-frame slot offsets shared by the Neuro-C kernels.
 constexpr int kSlotX = 0;
@@ -718,22 +731,20 @@ size_t UnrolledKernelFixedBytes(bool has_scale) {
 }
 
 std::string GenerateConvKernelSource() {
-  // Descriptor layout (see src/kernels/conv_desc.h): 0 num_pixels, 4 num_filters,
-  // 8 field_size, 12 rel_offsets (u16), 16 weights (q7 [K][field]), 20 bias (i32 [K]),
-  // 24 shift, 28 input base, 32 output (q7 [K][pixels]), 36 pixel_base_offsets (u16).
+  // Descriptor fields: ConvDescWord (src/kernels/conv_desc.h).
   AsmWriter w(kConvKernelName);
   // Frame: 0 rel base, 4 w row, 8 bias ptr, 12 shift, 16 rnd, 20 pix table ptr,
   //        24 filters left, 28 pixels left, 32 field size, 36 input base, 40 num_pixels.
   w.Label(kConvKernelName);
   w.L("push {r4, r5, r6, r7, lr}");
   w.L("sub sp, #48");
-  w.L("ldr r1, [r0, #12]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffRelOffsets) + "]");
   w.L("str r1, [sp, #0]");
-  w.L("ldr r1, [r0, #16]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffWeights) + "]");
   w.L("str r1, [sp, #4]");
-  w.L("ldr r1, [r0, #20]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffBias) + "]");
   w.L("str r1, [sp, #8]");
-  w.L("ldr r1, [r0, #24]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffShift) + "]");
   w.L("str r1, [sp, #12]");
   w.Comment("rnd = shift ? 1 << (shift-1) : 0");
   const std::string rnd_done = w.NewLabel("rnd");
@@ -745,18 +756,18 @@ std::string GenerateConvKernelSource() {
   w.L("lsls r2, r1");
   w.Label(rnd_done);
   w.L("str r2, [sp, #16]");
-  w.L("ldr r1, [r0, #4]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffNumFilters) + "]");
   w.L("str r1, [sp, #24]");
-  w.L("ldr r1, [r0, #8]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffFieldSize) + "]");
   w.L("str r1, [sp, #32]");
-  w.L("ldr r1, [r0, #28]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffInput) + "]");
   w.L("str r1, [sp, #36]");
-  w.L("ldr r1, [r0, #0]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffNumPixels) + "]");
   w.L("str r1, [sp, #40]");
-  w.L("ldr r1, [r0, #36]");
+  w.L("ldr r1, [r0, " + Imm(kConvOffPixelBases) + "]");
   w.L("str r1, [sp, #20]");
   w.L("str r1, [sp, #44]");  // pixel-table base, reloaded at the start of every filter
-  w.L("ldr r7, [r0, #32]");
+  w.L("ldr r7, [r0, " + Imm(kConvOffOutput) + "]");
 
   const std::string filt = w.NewLabel("filt");
   const std::string pix = w.NewLabel("pix");

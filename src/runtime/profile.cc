@@ -116,16 +116,11 @@ std::array<uint64_t, kEnergyClassCount> CyclesByEnergyClass(const ExecutionProfi
   return cycles;
 }
 
-// Applies the decode/execution mode, runs one zero-input inference under the matching
-// attribution backend, and restores the CPU's previous mode. kLegacy/kCached attach the
-// step-interpreter probe (which transparently drops Run to Step); kBlock stays on
+// Runs one zero-input inference under the mode's attribution backend. kCached attaches
+// the step-interpreter probe (which transparently drops Run to Step); kBlock stays on
 // block-compiled dispatch and uses the block-granular counters.
 PcProfile RunAttributedInference(DeployedModel& model, ProfileMode mode) {
   Cpu& cpu = model.machine().cpu();
-  const bool prev_icache = cpu.decode_cache_enabled();
-  const bool prev_block = cpu.block_compile_enabled();
-  cpu.EnableDecodeCache(mode != ProfileMode::kLegacy);
-  cpu.EnableBlockCompile(mode == ProfileMode::kBlock);
   cpu.ResetCounters();
 
   PcProfile out;
@@ -140,8 +135,6 @@ PcProfile RunAttributedInference(DeployedModel& model, ProfileMode mode) {
     model.Predict(zeros);
     out = profiler.profile();
   }
-  cpu.EnableDecodeCache(prev_icache);
-  cpu.EnableBlockCompile(prev_block);
   MetricsRegistry::Global().GetCounter("profile.runs").Add(1);
   return out;
 }
@@ -150,8 +143,6 @@ PcProfile RunAttributedInference(DeployedModel& model, ProfileMode mode) {
 
 const char* ProfileModeName(ProfileMode mode) {
   switch (mode) {
-    case ProfileMode::kLegacy:
-      return "legacy";
     case ProfileMode::kCached:
       return "cached";
     case ProfileMode::kBlock:
@@ -161,9 +152,7 @@ const char* ProfileModeName(ProfileMode mode) {
 }
 
 bool ParseProfileMode(std::string_view name, ProfileMode* out) {
-  if (name == "legacy") {
-    *out = ProfileMode::kLegacy;
-  } else if (name == "cached") {
+  if (name == "cached") {
     *out = ProfileMode::kCached;
   } else if (name == "block") {
     *out = ProfileMode::kBlock;

@@ -19,15 +19,15 @@
 
 namespace neuroc {
 
-// Which decode/execution path the profiled inference runs on. kLegacy and kCached
-// profile through the step-interpreter probe (attaching a CpuProbe forces the step
-// path anyway); kBlock stays on block-compiled execution and gathers the same exact
+// Which execution path the profiled inference runs on. kCached profiles through the
+// step-interpreter probe over the predecoded flash slots (attaching a CpuProbe forces
+// the step path); kBlock stays on block-compiled execution and gathers the same exact
 // attribution through the block-granular counters (src/obs/block_profiler.h) — the
 // fast-path default.
-enum class ProfileMode { kLegacy, kCached, kBlock };
+enum class ProfileMode { kCached, kBlock };
 
 const char* ProfileModeName(ProfileMode mode);
-// Accepts "legacy" | "cached" | "block".
+// Accepts "cached" | "block".
 bool ParseProfileMode(std::string_view name, ProfileMode* out);
 
 // Stack headroom below which ProfileInferenceDetailed warns (a stack growing into the

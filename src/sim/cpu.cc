@@ -14,33 +14,10 @@ namespace neuroc {
 
 Cpu::Cpu(MemoryMap* memory, CycleModel model) : mem_(memory), model_(model) {
   mem_->RegisterFlashWriteListener(&icache_valid_);
+  step_block_.ops.resize(1);
 }
 
 Cpu::~Cpu() { mem_->UnregisterFlashWriteListener(&icache_valid_); }
-
-void Cpu::EnableDecodeCache(bool enabled) {
-  icache_enabled_ = enabled;
-  if (!enabled) {
-    FlushBlockHistograms();
-    FlushBlockProfiles();
-    icache_ = std::vector<Predecoded>();  // release memory, not just clear
-    blocks_ = std::vector<Block>();
-    block_index_ = std::vector<int32_t>();
-    icache_valid_ = false;
-  }
-}
-
-void Cpu::EnableBlockCompile(bool enabled) {
-  block_enabled_ = enabled;
-  if (!enabled) {
-    FlushBlockHistograms();
-    FlushBlockProfiles();
-    blocks_ = std::vector<Block>();
-    block_index_ = std::vector<int32_t>();
-  }
-  // Force a rebuild either way so block_index_ is (re)sized with the decode cache.
-  icache_valid_ = false;
-}
 
 void Cpu::EnableBlockProfile(bool enabled) {
   if (enabled) {
@@ -69,7 +46,7 @@ void Cpu::RebuildDecodeCache() {
   const std::span<const uint8_t> flash = mem_->flash_bytes();
   // Only decode up to the load high-water mark: images occupy a few KB of the 128 KB
   // flash, and slots past it hold the erase pattern the CPU normally never reaches (if it
-  // does, Step falls back to the interpreter path below, which behaves identically).
+  // does, StepInner falls back to the raw fetch path, which behaves identically).
   const size_t covered = std::min<size_t>(flash.size(), mem_->flash_high_water());
   const size_t slots = covered / 2;
   icache_.resize(slots);
@@ -90,7 +67,7 @@ void Cpu::RebuildDecodeCache() {
   FlushBlockHistograms();
   FlushBlockProfiles();
   blocks_.clear();
-  block_index_.assign(block_enabled_ ? slots : 0, kBlockNotCompiled);
+  block_index_.assign(slots, kBlockNotCompiled);
   icache_valid_ = true;
 }
 
@@ -206,7 +183,7 @@ int PopCount8(uint16_t reglist) {
   return count;
 }
 
-// Static execution cost, mirroring the charge the interpreter makes for the instruction
+// Static execution cost of an instruction: the one cycle table both execution paths charge from
 // (excluding the per-fetch flash wait states and the dynamic parts: data-access wait
 // states and the taken/not-taken split of kBcond, which the executor resolves at runtime).
 uint32_t StaticExecCycles(const Instr& in, const CycleModel& m) {
@@ -253,6 +230,35 @@ uint32_t StaticExecCycles(const Instr& in, const CycleModel& m) {
 
 }  // namespace
 
+Cpu::BlockOp Cpu::LowerOp(const Instr& in, uint32_t addr, uint8_t fetch_reads) {
+  BlockOp o;
+  o.op = in.op;
+  o.rd = in.rd;
+  o.rn = in.rn;
+  o.rm = in.rm;
+  o.cond = in.cond;
+  o.reglist = in.reglist;
+  o.imm = in.imm;
+  o.fetch_reads = fetch_reads;
+  o.is_mem = MayFault(in.op) ? 1 : 0;
+  o.addr = addr;
+  // Pre-resolve PC-relative operands to absolute values.
+  switch (in.op) {
+    case Op::kLdrLit:
+    case Op::kAdr:
+      o.imm = static_cast<int32_t>(((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm));
+      break;
+    case Op::kB:
+    case Op::kBcond:
+    case Op::kBl:
+      o.imm = static_cast<int32_t>(addr + 4 + static_cast<uint32_t>(in.imm));
+      break;
+    default:
+      break;
+  }
+  return o;
+}
+
 // Walks predecoded slots from `entry_slot` until a control-flow terminator, an
 // invalid/UDF decode, the end of decode coverage, or the length cap, fusing the run into
 // one Block. Returns the block index, or kBlockStepOnly when the entry cannot start a
@@ -274,34 +280,11 @@ int32_t Cpu::CompileBlock(size_t entry_slot) {
     if (in.op == Op::kInvalid || in.op == Op::kUdf) {
       break;  // the interpreter raises the fault with the exact seed diagnostics
     }
-    BlockOp o;
-    o.op = in.op;
-    o.rd = in.rd;
-    o.rn = in.rn;
-    o.rm = in.rm;
-    o.cond = in.cond;
-    o.reglist = in.reglist;
-    o.imm = in.imm;
-    o.fetch_reads = pd.flash_reads;
-    o.is_mem = MayFault(in.op) ? 1 : 0;
-    o.addr = mem_->flash_base() + static_cast<uint32_t>(2 * slot);
+    BlockOp o = LowerOp(in, mem_->flash_base() + static_cast<uint32_t>(2 * slot),
+                        pd.flash_reads);
     o.cycles_before = static_cycles;
     static_cycles += static_cast<uint32_t>(model_.flash_wait_states) +
                      StaticExecCycles(in, model_);
-    // Pre-resolve PC-relative operands to absolute values.
-    switch (in.op) {
-      case Op::kLdrLit:
-      case Op::kAdr:
-        o.imm = static_cast<int32_t>(((o.addr + 4) & ~3u) + static_cast<uint32_t>(in.imm));
-        break;
-      case Op::kB:
-      case Op::kBcond:
-      case Op::kBl:
-        o.imm = static_cast<int32_t>(o.addr + 4 + static_cast<uint32_t>(in.imm));
-        break;
-      default:
-        break;
-    }
     b.ops.push_back(o);
     if (IsTerminator(in)) {
       b.terminated = true;
@@ -535,18 +518,6 @@ bool Cpu::EvalCond(Cond cond) const {
   return false;
 }
 
-void Cpu::Branch(uint32_t target, int cost) {
-  pc_ = target & ~1u;
-  cycles_ += static_cast<uint64_t>(cost);
-}
-
-void Cpu::ChargeMemAccess(uint32_t addr, bool is_store) {
-  cycles_ += static_cast<uint64_t>(is_store ? model_.store : model_.load);
-  if (mem_->InFlash(addr)) {
-    cycles_ += static_cast<uint64_t>(model_.flash_wait_states);
-  }
-}
-
 void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
   const uint64_t start = instructions_;
   while (!halted()) {
@@ -560,7 +531,7 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
       // leaves compiled coverage, an entry can't start a block, or a block could cross
       // the instruction budget or the watchdog cycle limit. Those cases break to the step
       // interpreter, which keeps the budget/deadline fault firing at exactly the same
-      // retired instruction as the legacy path. A wrapping pc (SRAM, unmapped, the halt
+      // retired instruction as a fully stepped run. A wrapping pc (SRAM, unmapped, the halt
       // sentinel) makes `slot` huge and exits the loop through the coverage check.
       const uint32_t flash_base = mem_->flash_base();
       const size_t covered_slots = block_index_.size();
@@ -585,9 +556,9 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
           break;
         }
         if (block_profile_enabled_) {
-          ExecuteBlock<true>(blk);
+          ExecuteBlock<ExecMode::kBlockProfiled>(blk);
         } else {
-          ExecuteBlock<false>(blk);
+          ExecuteBlock<ExecMode::kBlock>(blk);
         }
       }
       if (halted()) {
@@ -606,13 +577,17 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
   }
 }
 
-// Executes one compiled block with a single dispatch: no per-step counter updates, trace
-// or probe checks (block mode is inactive when those are attached), and no per-step
-// decode-cache lookups. Cycle, instruction, histogram and fetch accounting are applied
-// once at block exit; a GuestFault mid-block patches them to the exact interpreter state
-// for the faulting instruction before rethrowing. Cases mirror StepInner one for one —
-// the differences are the compile-time-folded static cycle costs, the dead-flag elision
-// (`o.set_flags`), and the compile-time-resolved PC-relative operands.
+// Executes one op-chain with a single dispatch: no per-op counter updates, trace or probe
+// checks, and no decode-cache lookups. This is the only code that gives an op its
+// register, flag, memory and dynamic-cycle effect; static costs come from
+// StaticExecCycles, folded into the chain's static_cycles. For a compiled block (kBlock,
+// kBlockProfiled) cycle, instruction, histogram and fetch accounting are applied once at
+// block exit, and a GuestFault mid-block patches them to the exact state a stepped run
+// shows at the faulting instruction before rethrowing. For StepInner's one-op chain
+// (kStep, every flag live) only the op's cycles are added: the interpreter has done the
+// rest before dispatch, so a fault propagates with nothing to patch. GCC does not inline
+// a function containing a computed goto, so the step path pays one out-of-line call per
+// instruction; the block path pays one per block.
 // Dispatch plumbing for ExecuteBlock. With GNU extensions every op ends in its own
 // indirect jump through the label table (token threading), giving the host branch
 // predictor one dispatch site per preceding op instead of a single shared one; other
@@ -626,12 +601,13 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 #if NEUROC_BLOCK_COMPUTED_GOTO
 // NEUROC_NEXT also advances the profiled hit-counter cursor in lockstep with the op
 // pointer (discarded in the unprofiled instantiation), so charge_mem records a flash-wait
-// hit with a plain `++*prof_slot` — no per-access op-index math on the hot path.
+// hit with a plain `++*prof_slot` — no per-access op-index math on the hot path. The
+// one-op step chain exits after its op without the end-of-chain compare.
 #define NEUROC_OP(name) lbl_##name:
 #define NEUROC_NEXT                                   \
   do {                                                \
     if constexpr (kProfiled) ++prof_slot;             \
-    if (++op == op_end) goto block_exit;              \
+    if (kOneOp || ++op == op_end) goto block_exit;    \
     goto* kDispatch[static_cast<size_t>(op->op)];     \
   } while (0)
 #else
@@ -639,7 +615,7 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 #define NEUROC_NEXT                                   \
   {                                                   \
     if constexpr (kProfiled) ++prof_slot;             \
-    if (++op == op_end) goto block_exit;              \
+    if (kOneOp || ++op == op_end) goto block_exit;    \
   }                                                   \
   break
 #endif
@@ -647,18 +623,20 @@ void Cpu::Run(uint64_t max_instructions, uint64_t cycle_limit) {
 // Reads of r15 observe the instruction's address + 4; only hi-register forms and BX/BLX
 // can encode r15 as an operand, so the compare lives in those cases alone.
 #define NEUROC_RVAL(r) ((r) == kRegPc ? op->addr + 4 : regs_[(r)])
-template <bool kProfiled>
+template <Cpu::ExecMode kMode>
 #if NEUROC_BLOCK_COMPUTED_GOTO && defined(__GNUC__) && !defined(__clang__)
 // Keep GCC's global CSE from re-merging the per-op indirect jumps into one shared
 // dispatch site, which would undo the branch-prediction benefit of token threading.
 __attribute__((optimize("no-gcse")))
 #endif
 void Cpu::ExecuteBlock(const Block& b) {
+  constexpr bool kProfiled = kMode == ExecMode::kBlockProfiled;
+  constexpr bool kOneOp = kMode == ExecMode::kStep;
   const uint32_t fetch_ws = static_cast<uint32_t>(model_.flash_wait_states);
   const uint32_t flash_base = mem_->flash_base();
   const uint32_t flash_size = mem_->flash_size();
-  // All static cycle costs were folded into b.static_cycles at compile time; only the
-  // data-access flash wait states and the conditional-branch outcome accumulate here.
+  // All static cycle costs are folded into b.static_cycles; only the data-access flash
+  // wait states and the conditional-branch outcome accumulate here.
   uint64_t dyn = 0;
   const size_t n = b.ops.size();
   const BlockOp* ops = b.ops.data();
@@ -671,7 +649,7 @@ void Cpu::ExecuteBlock(const Block& b) {
   if constexpr (kProfiled) {
     prof_slot = b.prof_mem_hits.data();
   }
-  // Dynamic part of ChargeMemAccess (the static load/store cost is folded). Under
+  // Data-access flash wait states (the static load/store cost is folded). Under
   // profiling the hit is also attributed to the current op so the expansion can charge
   // it to the exact PC.
   const auto charge_mem = [&](uint32_t a) {
@@ -1262,6 +1240,9 @@ void Cpu::ExecuteBlock(const Block& b) {
     }
 #endif
   } catch (GuestFault& gf) {
+    if constexpr (kMode == ExecMode::kStep) {
+      throw;  // StepInner's state is already exact at the faulting instruction
+    }
     const size_t i = static_cast<size_t>(op - ops);  // index of the faulting op
     // Patch the batched accounting so the architectural state is exactly what the step
     // interpreter shows at this fault: counters and fetch stats cover the retired prefix
@@ -1302,6 +1283,9 @@ void Cpu::ExecuteBlock(const Block& b) {
   }
 block_exit:
   cycles_ += b.static_cycles + dyn;
+  if constexpr (kMode == ExecMode::kStep) {
+    return;  // StepInner did the fetch, retire and pc bookkeeping before dispatch
+  }
   instructions_ += n;
   ++b.execs;  // histogram applied lazily: FlushBlockHistograms folds histogram * execs
   if constexpr (kProfiled) {
@@ -1336,11 +1320,11 @@ void Cpu::Step() {
   const uint32_t fault_pc = pc_;
   if (block_profile_enabled_) {
     // Interpreter-fallback residue: any step taken while block profiling is on (step-only
-    // entries, uncovered flash, budget-crossing tails, SRAM execution, or block mode
-    // disabled outright) is attributed by counter delta, so the profile stays exact off
-    // the block path too. The decode peek is uncounted host observation on this cold
-    // path; a fault that retires nothing (undefined instruction throws before the retire
-    // counters move) correctly records nothing.
+    // entries, uncovered flash, budget-crossing tails, SRAM execution) is attributed by
+    // counter delta, so the profile stays exact off the block path too. The decode peek
+    // is uncounted host observation on this cold path; a fault that retires nothing
+    // (undefined instruction throws before the retire counters move) correctly records
+    // nothing.
     const Op op = PeekOpAt(fault_pc);
     const uint64_t cycles_before = cycles_;
     const uint64_t instructions_before = instructions_;
@@ -1381,7 +1365,7 @@ void Cpu::StepInner() {
   Instr in;
   size_t slot = 0;
   bool cached = false;
-  if (icache_enabled_ && fetch_from_flash) {
+  if (fetch_from_flash) {
     if (!icache_valid_) {
       RebuildDecodeCache();
     }
@@ -1393,8 +1377,8 @@ void Cpu::StepInner() {
     hw1 = pd.hw1;
     hw2 = pd.hw2;
     in = pd.instr;
-    // Fetch accounting identical to the interpreter path: one counted flash read per
-    // halfword fetched (the per-slot count already encodes the wide/mapped rule).
+    // Fetch accounting identical to the raw path: one counted flash read per halfword
+    // fetched (the per-slot count already encodes the wide/mapped rule).
     mem_->CountFlashFetches(addr, pd.flash_reads);
   } else {
     hw1 = mem_->Read16(addr);
@@ -1422,513 +1406,12 @@ void Cpu::StepInner() {
   if (fetch_from_flash) {
     cycles_ += static_cast<uint64_t>(model_.flash_wait_states);
   }
+  // A fault inside the op leaves pc past it and r15 at addr + 4, as a block fault does.
   pc_ = addr + 2u * in.length;  // default fall-through; branches overwrite
-
-  // PC-read rule: reads of r15 observe the current instruction's address + 4.
-  // Materializing that into the register file once per step makes every operand read a
-  // plain array load instead of a compare-and-select per read. Nothing outside Step
-  // reads slot 15 (the architectural PC lives in pc_).
   regs_[kRegPc] = addr + 4;
-  auto rr = [&](uint8_t r) -> uint32_t { return regs_[r]; };
-
-  switch (in.op) {
-    case Op::kLslImm: {
-      const uint32_t v = rr(in.rm);
-      uint32_t result;
-      if (in.imm == 0) {
-        result = v;  // MOVS register form: C unchanged
-      } else {
-        flags_.c = (v >> (32 - in.imm)) & 1;
-        result = v << in.imm;
-      }
-      regs_[in.rd] = result;
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kLsrImm: {
-      const uint32_t v = rr(in.rm);
-      const int amount = in.imm == 0 ? 32 : in.imm;
-      uint32_t result;
-      if (amount == 32) {
-        flags_.c = (v >> 31) & 1;
-        result = 0;
-      } else {
-        flags_.c = (v >> (amount - 1)) & 1;
-        result = v >> amount;
-      }
-      regs_[in.rd] = result;
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAsrImm: {
-      const uint32_t v = rr(in.rm);
-      const int amount = in.imm == 0 ? 32 : in.imm;
-      uint32_t result;
-      if (amount == 32) {
-        flags_.c = (v >> 31) & 1;
-        result = (v >> 31) ? 0xFFFFFFFFu : 0u;
-      } else {
-        flags_.c = (v >> (amount - 1)) & 1;
-        result = static_cast<uint32_t>(static_cast<int32_t>(v) >> amount);
-      }
-      regs_[in.rd] = result;
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAddReg:
-    case Op::kAddImm3: {
-      const uint32_t op2 = in.op == Op::kAddReg ? rr(in.rm) : static_cast<uint32_t>(in.imm);
-      const AddResult r = AddWithCarry(rr(in.rn), op2, false);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kSubReg:
-    case Op::kSubImm3: {
-      const uint32_t op2 = in.op == Op::kSubReg ? rr(in.rm) : static_cast<uint32_t>(in.imm);
-      const AddResult r = AddWithCarry(rr(in.rn), ~op2, true);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kMovImm:
-      regs_[in.rd] = static_cast<uint32_t>(in.imm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kCmpImm:
-    case Op::kCmpReg:
-    case Op::kCmpHi: {
-      const uint32_t lhs = rr(in.rn);
-      const uint32_t rhs =
-          in.op == Op::kCmpImm ? static_cast<uint32_t>(in.imm) : rr(in.rm);
-      const AddResult r = AddWithCarry(lhs, ~rhs, true);
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAddImm8: {
-      const AddResult r = AddWithCarry(regs_[in.rd], static_cast<uint32_t>(in.imm), false);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kSubImm8: {
-      const AddResult r =
-          AddWithCarry(regs_[in.rd], ~static_cast<uint32_t>(in.imm), true);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAnd:
-      regs_[in.rd] &= rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kEor:
-      regs_[in.rd] ^= rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kOrr:
-      regs_[in.rd] |= rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kBic:
-      regs_[in.rd] &= ~rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kMvn:
-      regs_[in.rd] = ~rr(in.rm);
-      SetNZ(regs_[in.rd]);
-      cycles_ += model_.alu;
-      break;
-    case Op::kTst: {
-      const uint32_t result = rr(in.rn) & rr(in.rm);
-      SetNZ(result);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kCmn: {
-      const AddResult r = AddWithCarry(rr(in.rn), rr(in.rm), false);
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kLslReg:
-    case Op::kLsrReg:
-    case Op::kAsrReg:
-    case Op::kRor: {
-      const uint32_t amount = rr(in.rm) & 0xFF;
-      uint32_t v = regs_[in.rd];
-      if (amount != 0) {
-        switch (in.op) {
-          case Op::kLslReg:
-            if (amount < 32) {
-              flags_.c = (v >> (32 - amount)) & 1;
-              v <<= amount;
-            } else {
-              flags_.c = (amount == 32) ? (v & 1) : false;
-              v = 0;
-            }
-            break;
-          case Op::kLsrReg:
-            if (amount < 32) {
-              flags_.c = (v >> (amount - 1)) & 1;
-              v >>= amount;
-            } else {
-              flags_.c = (amount == 32) ? ((v >> 31) & 1) : false;
-              v = 0;
-            }
-            break;
-          case Op::kAsrReg:
-            if (amount < 32) {
-              flags_.c = (v >> (amount - 1)) & 1;
-              v = static_cast<uint32_t>(static_cast<int32_t>(v) >> amount);
-            } else {
-              flags_.c = (v >> 31) & 1;
-              v = (v >> 31) ? 0xFFFFFFFFu : 0u;
-            }
-            break;
-          case Op::kRor: {
-            const uint32_t rot = amount & 31;
-            if (rot != 0) {
-              v = (v >> rot) | (v << (32 - rot));
-            }
-            flags_.c = (v >> 31) & 1;
-            break;
-          }
-          default:
-            break;
-        }
-      }
-      regs_[in.rd] = v;
-      SetNZ(v);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kAdc: {
-      const AddResult r = AddWithCarry(regs_[in.rd], rr(in.rm), flags_.c);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kSbc: {
-      const AddResult r = AddWithCarry(regs_[in.rd], ~rr(in.rm), flags_.c);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kNeg: {
-      const AddResult r = AddWithCarry(~rr(in.rm), 0, true);
-      regs_[in.rd] = r.value;
-      SetNZ(r.value);
-      flags_.c = r.carry;
-      flags_.v = r.overflow;
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kMul:
-      regs_[in.rd] = regs_[in.rd] * rr(in.rm);
-      SetNZ(regs_[in.rd]);  // ARMv6-M MULS sets N and Z only
-      cycles_ += model_.mul;
-      break;
-    case Op::kAddHi: {
-      const uint32_t result = rr(in.rd) + rr(in.rm);
-      if (in.rd == kRegPc) {
-        Branch(result, model_.pc_alu);
-      } else {
-        regs_[in.rd] = result;
-        cycles_ += model_.alu;
-      }
-      break;
-    }
-    case Op::kMovHi: {
-      const uint32_t result = rr(in.rm);
-      if (in.rd == kRegPc) {
-        Branch(result, model_.pc_alu);
-      } else {
-        regs_[in.rd] = result;
-        cycles_ += model_.alu;
-      }
-      break;
-    }
-    case Op::kBx:
-      Branch(rr(in.rm), model_.bx);
-      break;
-    case Op::kBlx: {
-      const uint32_t target = rr(in.rm);
-      regs_[kRegLr] = (addr + 2) | 1;
-      Branch(target, model_.bx);
-      break;
-    }
-    case Op::kLdrLit: {
-      const uint32_t a = ((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm);
-      regs_[in.rd] = mem_->Read32(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kStrReg:
-    case Op::kStrImm:
-    case Op::kStrSp: {
-      uint32_t a;
-      if (in.op == Op::kStrReg) {
-        a = rr(in.rn) + rr(in.rm);
-      } else if (in.op == Op::kStrSp) {
-        a = regs_[kRegSp] + static_cast<uint32_t>(in.imm);
-      } else {
-        a = rr(in.rn) + static_cast<uint32_t>(in.imm);
-      }
-      mem_->Write32(a, regs_[in.rd]);
-      ChargeMemAccess(a, true);
-      break;
-    }
-    case Op::kLdrReg:
-    case Op::kLdrImm:
-    case Op::kLdrSp: {
-      uint32_t a;
-      if (in.op == Op::kLdrReg) {
-        a = rr(in.rn) + rr(in.rm);
-      } else if (in.op == Op::kLdrSp) {
-        a = regs_[kRegSp] + static_cast<uint32_t>(in.imm);
-      } else {
-        a = rr(in.rn) + static_cast<uint32_t>(in.imm);
-      }
-      regs_[in.rd] = mem_->Read32(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kStrbReg:
-    case Op::kStrbImm: {
-      const uint32_t a = in.op == Op::kStrbReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      mem_->Write8(a, static_cast<uint8_t>(regs_[in.rd]));
-      ChargeMemAccess(a, true);
-      break;
-    }
-    case Op::kLdrbReg:
-    case Op::kLdrbImm: {
-      const uint32_t a = in.op == Op::kLdrbReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      regs_[in.rd] = mem_->Read8(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kStrhReg:
-    case Op::kStrhImm: {
-      const uint32_t a = in.op == Op::kStrhReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      mem_->Write16(a, static_cast<uint16_t>(regs_[in.rd]));
-      ChargeMemAccess(a, true);
-      break;
-    }
-    case Op::kLdrhReg:
-    case Op::kLdrhImm: {
-      const uint32_t a = in.op == Op::kLdrhReg ? rr(in.rn) + rr(in.rm)
-                                               : rr(in.rn) + static_cast<uint32_t>(in.imm);
-      regs_[in.rd] = mem_->Read16(a);
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kLdrsbReg: {
-      const uint32_t a = rr(in.rn) + rr(in.rm);
-      regs_[in.rd] = static_cast<uint32_t>(static_cast<int32_t>(static_cast<int8_t>(
-          mem_->Read8(a))));
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kLdrshReg: {
-      const uint32_t a = rr(in.rn) + rr(in.rm);
-      regs_[in.rd] = static_cast<uint32_t>(static_cast<int32_t>(static_cast<int16_t>(
-          mem_->Read16(a))));
-      ChargeMemAccess(a, false);
-      break;
-    }
-    case Op::kAdr:
-      regs_[in.rd] = ((addr + 4) & ~3u) + static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kAddSpImm:
-      regs_[in.rd] = regs_[kRegSp] + static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kAddSp7:
-      regs_[kRegSp] += static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kSubSp7:
-      regs_[kRegSp] -= static_cast<uint32_t>(in.imm);
-      cycles_ += model_.alu;
-      break;
-    case Op::kSxth:
-      regs_[in.rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(static_cast<int16_t>(rr(in.rm) & 0xFFFF)));
-      cycles_ += model_.alu;
-      break;
-    case Op::kSxtb:
-      regs_[in.rd] =
-          static_cast<uint32_t>(static_cast<int32_t>(static_cast<int8_t>(rr(in.rm) & 0xFF)));
-      cycles_ += model_.alu;
-      break;
-    case Op::kUxth:
-      regs_[in.rd] = rr(in.rm) & 0xFFFF;
-      cycles_ += model_.alu;
-      break;
-    case Op::kUxtb:
-      regs_[in.rd] = rr(in.rm) & 0xFF;
-      cycles_ += model_.alu;
-      break;
-    case Op::kRev: {
-      const uint32_t v = rr(in.rm);
-      regs_[in.rd] = ((v & 0xFF) << 24) | ((v & 0xFF00) << 8) | ((v >> 8) & 0xFF00) |
-                     ((v >> 24) & 0xFF);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kRev16: {
-      const uint32_t v = rr(in.rm);
-      regs_[in.rd] = ((v & 0x00FF00FF) << 8) | ((v & 0xFF00FF00) >> 8);
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kRevsh: {
-      const uint32_t v = rr(in.rm);
-      const uint16_t swapped = static_cast<uint16_t>(((v & 0xFF) << 8) | ((v >> 8) & 0xFF));
-      regs_[in.rd] =
-          static_cast<uint32_t>(static_cast<int32_t>(static_cast<int16_t>(swapped)));
-      cycles_ += model_.alu;
-      break;
-    }
-    case Op::kPush: {
-      int count = 0;
-      for (int r = 0; r <= 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          ++count;
-        }
-      }
-      uint32_t a = regs_[kRegSp] - 4u * static_cast<uint32_t>(count);
-      regs_[kRegSp] = a;
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          mem_->Write32(a, regs_[r]);
-          a += 4;
-        }
-      }
-      if (in.reglist & 0x100) {
-        mem_->Write32(a, regs_[kRegLr]);
-      }
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      break;
-    }
-    case Op::kPop: {
-      int count = 0;
-      for (int r = 0; r <= 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          ++count;
-        }
-      }
-      uint32_t a = regs_[kRegSp];
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          regs_[r] = mem_->Read32(a);
-          a += 4;
-        }
-      }
-      bool to_pc = false;
-      uint32_t pc_value = 0;
-      if (in.reglist & 0x100) {
-        pc_value = mem_->Read32(a);
-        a += 4;
-        to_pc = true;
-      }
-      regs_[kRegSp] = regs_[kRegSp] + 4u * static_cast<uint32_t>(count);
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      if (to_pc) {
-        cycles_ += static_cast<uint64_t>(model_.pop_pc_extra);
-        pc_ = pc_value & ~1u;
-      }
-      break;
-    }
-    case Op::kLdm: {
-      // LDMIA rn!, {list}: ascending loads; writeback unless rn is in the list.
-      uint32_t a = rr(in.rn);
-      int count = 0;
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          regs_[r] = mem_->Read32(a);
-          a += 4;
-          ++count;
-        }
-      }
-      if ((in.reglist & (1 << in.rn)) == 0) {
-        regs_[in.rn] = a;
-      }
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      break;
-    }
-    case Op::kStm: {
-      uint32_t a = rr(in.rn);
-      int count = 0;
-      for (int r = 0; r < 8; ++r) {
-        if (in.reglist & (1 << r)) {
-          mem_->Write32(a, regs_[r]);
-          a += 4;
-          ++count;
-        }
-      }
-      regs_[in.rn] = a;
-      cycles_ += static_cast<uint64_t>(model_.push_pop_base + count);
-      break;
-    }
-    case Op::kNop:
-      cycles_ += model_.alu;
-      break;
-    case Op::kBcond:
-      if (EvalCond(in.cond)) {
-        Branch(addr + 4 + static_cast<uint32_t>(in.imm), model_.branch_taken);
-      } else {
-        cycles_ += model_.branch_not_taken;
-      }
-      break;
-    case Op::kB:
-      Branch(addr + 4 + static_cast<uint32_t>(in.imm), model_.branch_taken);
-      break;
-    case Op::kBl:
-      regs_[kRegLr] = (addr + 4) | 1;
-      Branch(addr + 4 + static_cast<uint32_t>(in.imm), model_.bl);
-      break;
-    case Op::kUdf:
-    case Op::kInvalid:
-      NEUROC_CHECK(false);
-      break;
-  }
+  step_block_.ops[0] = LowerOp(in, addr, in.length);
+  step_block_.static_cycles = StaticExecCycles(in, model_);
+  ExecuteBlock<ExecMode::kStep>(step_block_);
   if (probe_ != nullptr) {
     probe_->OnRetire(addr, in.op, static_cast<uint32_t>(cycles_ - cycles_at_entry));
   }

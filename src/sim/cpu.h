@@ -86,8 +86,8 @@ class Cpu {
   // deadline: an absolute bound on `cycles()` (0 disables). The first retired instruction
   // that pushes the counter past it throws GuestFault(kDeadlineExceeded) — block-compiled
   // execution breaks to the step interpreter before any block that *could* cross the
-  // limit, so the faulting instruction, counters and registers are bit-identical across
-  // all decode modes, and a limit that is never approached costs one compare per block.
+  // limit, so the faulting instruction, counters and registers are bit-identical to a
+  // stepped run, and a limit that is never approached costs one compare per block.
   void Run(uint64_t max_instructions, uint64_t cycle_limit = 0);
 
   // Architectural state capture/restore, the substrate for Machine::Snapshot. Save folds
@@ -120,28 +120,20 @@ class Cpu {
   void set_probe(CpuProbe* probe) { probe_ = probe; }
   CpuProbe* probe() const { return probe_; }
 
-  // Predecoded-instruction cache: each halfword-aligned flash slot is decoded once (on the
-  // first Step after any host write into flash) so the fetch path becomes a table lookup.
-  // Cycle/instruction counters, memory-access stats, heatmaps, traces and probe callbacks
-  // are bit-identical with the cache on or off; the toggle exists so benchmarks can
-  // measure the legacy decode-every-step path. Disabling the decode cache also disables
-  // block-compiled execution (compiled blocks are built from the predecoded slots).
-  void EnableDecodeCache(bool enabled);
-  bool decode_cache_enabled() const { return icache_enabled_; }
-
-  // Block-compiled execution: straight-line Thumb basic blocks (runs of predecoded flash
-  // instructions ending at a branch/call/PC-writing instruction) are fused into compact
-  // op-chains executed with one dispatch per block, with cycle/instruction/histogram/fetch
-  // accounting batched at block exit and dead APSR flag writes elided (an op's flags are
-  // only materialized when a later consumer — conditional branch, ADC/SBC — or a possible
-  // guest-fault site can observe them). Execution falls back to the step interpreter at
-  // block boundaries, for SRAM or uncovered flash, when a CpuProbe or trace ring is
-  // attached, and for blocks that could cross the instruction budget, so every observable
-  // quantity (counters, stats, heatmaps, probe streams, traces, fault reports) stays
-  // bit-identical to the interpreter. On by default; benchmarks toggle it off to measure
-  // the predecode-cache-only path.
-  void EnableBlockCompile(bool enabled);
-  bool block_compile_enabled() const { return block_enabled_; }
+  // Execution engine. Each halfword-aligned flash slot up to the load high-water mark is
+  // decoded once (on the first fetch after any host write into flash), and straight-line
+  // runs of those slots ending at a branch/call/PC-writing instruction are fused into
+  // compact op-chains executed with one dispatch per block. Cycle/instruction/histogram/
+  // fetch accounting is batched at block exit and dead APSR flag writes are elided (an
+  // op's flags are only materialized when a later consumer — conditional branch,
+  // ADC/SBC — or a possible guest-fault site can observe them). The step interpreter
+  // runs each instruction as a one-op chain through the same dispatch with every flag
+  // live, so the ARMv6-M semantics and cycle costs exist once. Run enters the interpreter
+  // only where block dispatch cannot be exact: a CpuProbe or trace ring attached, SRAM or
+  // uncovered flash, entries that cannot start a block (undefined encodings), and blocks
+  // that could cross the instruction budget or the watchdog deadline. Every observable
+  // quantity (counters, stats, heatmaps, probe streams, traces, fault reports) is
+  // therefore identical whether a block or the step interpreter retires an instruction.
 
   // Block-granular profiling: per-PC/per-opcode cycle attribution that stays on the
   // block-compiled fast path. While enabled, ExecuteBlock bumps one exec counter per
@@ -176,7 +168,7 @@ class Cpu {
   };
 
   // One decoded flash slot, keyed by (addr - flash_base) >> 1. The raw halfwords ride
-  // along so trace entries and fault reports match the interpreter byte for byte;
+  // along so trace entries and fault reports match the raw-fetch path byte for byte;
   // flash_reads is the number of counted halfword fetches (2 for a wide encoding whose
   // second halfword is mapped, else 1), precomputed so the fetch path is branch-free.
   struct Predecoded {
@@ -220,7 +212,7 @@ class Cpu {
     // static_cycles (per-access flash wait states, the dearer kBcond outcome). The Run
     // loop uses static_cycles + dyn_bound to prove a block cannot cross the watchdog
     // cycle limit; blocks that might cross fall back to the step interpreter so the
-    // deadline fires at exactly the same instruction as the legacy path.
+    // deadline fires at exactly the same instruction as in a stepped run.
     uint32_t dyn_bound = 0;
     uint64_t fetch_reads = 0;
     std::vector<std::pair<uint8_t, uint32_t>> histogram;  // (Op, retire count)
@@ -248,11 +240,18 @@ class Cpu {
   // which raises the fault with the exact message/trace the seed produced.
   static constexpr int32_t kBlockStepOnly = -2;
 
-  bool BlockModeActive() const {
-    return block_enabled_ && icache_enabled_ && probe_ == nullptr && trace_.empty();
-  }
+  bool BlockModeActive() const { return probe_ == nullptr && trace_.empty(); }
+  // Lowers one decoded instruction at `addr` to a chain op: PC-relative operands resolved
+  // to absolute values, every flag write live, no static-cycle prefix.
+  static BlockOp LowerOp(const Instr& in, uint32_t addr, uint8_t fetch_reads);
   int32_t CompileBlock(size_t entry_slot);
-  template <bool kProfiled>
+  // The one implementation of every op's register, flag, memory and dynamic-cycle
+  // effect. kBlock/kBlockProfiled run a compiled block and apply its batched accounting
+  // at exit (patching it to the exact interpreter state on a mid-block fault). kStep runs
+  // StepInner's one-op chain and only adds the op's static and dynamic cycles: the step
+  // interpreter has already done the fetch, retire and pc bookkeeping itself.
+  enum class ExecMode { kBlock, kBlockProfiled, kStep };
+  template <ExecMode kMode>
   void ExecuteBlock(const Block& b);
   // Folds every block's deferred (histogram * execs) contribution into op_histogram_ and
   // zeroes the exec counters. Must run before blocks_ is cleared or the counts are lost.
@@ -276,8 +275,6 @@ class Cpu {
     flags_.z = value == 0;
   }
   bool EvalCond(Cond cond) const;
-  void Branch(uint32_t target, int cost);
-  void ChargeMemAccess(uint32_t addr, bool is_store);
 
   MemoryMap* mem_;
   CycleModel model_;
@@ -292,14 +289,14 @@ class Cpu {
   uint64_t trace_count_ = 0;
   CpuProbe* probe_ = nullptr;
   std::vector<Predecoded> icache_;  // covers flash up to the load high-water mark
-  bool icache_enabled_ = true;
   bool icache_valid_ = false;  // cleared by the MemoryMap on any host write into flash
   // Block cache, rebuilt with (and lazily on top of) the decode cache: block_index_ maps a
   // flash halfword slot to its compiled block, kBlockNotCompiled before first dispatch.
   // Any host write into flash invalidates both via the same flash-write listener flag.
   std::vector<Block> blocks_;
   std::vector<int32_t> block_index_;
-  bool block_enabled_ = true;
+  // StepInner's one-op chain, reused every step so the interpreter never allocates.
+  Block step_block_;
   bool block_profile_enabled_ = false;
   // Accumulated per-PC profile: expanded block counters, mid-block fault residue, and
   // interpreter-fallback step residue. Address-ordered so reads are deterministic.

@@ -30,7 +30,7 @@ struct MachineConfig {
 // deterministically rebuilt derived state): probe/trace attachment and ring contents,
 // the decode cache, compiled blocks, and block-profile windows. Restoring is therefore
 // bit-identical for every architecturally observable quantity — cycles, instructions,
-// registers, memory, stats, heatmaps — across all decode modes.
+// registers, memory, stats, heatmaps — whether blocks or the step interpreter ran.
 struct MachineSnapshot {
   CpuArchState cpu;
   MemoryState memory;
@@ -65,7 +65,7 @@ class Machine {
   // Watchdog-supervised variant: additionally stops the guest with a structured
   // kDeadlineExceeded FaultReport once the call has consumed more than `cycle_budget`
   // simulated cycles (relative to the call start; 0 = unsupervised). The deadline fires
-  // at the same retired instruction in every decode mode, and a budget that is never
+  // at the same retired instruction on either execution path, and a budget that is never
   // approached changes no observable quantity — identical cycles, counters, heatmaps.
   StatusOr<uint64_t> TryCallFunction(uint32_t addr, std::initializer_list<uint32_t> args,
                                      uint64_t cycle_budget);

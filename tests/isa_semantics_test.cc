@@ -5,15 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/isa/assembler.h"
 #include "src/sim/machine.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
 
 constexpr uint32_t kFlash = 0x08000000;
 
-// Runs a fragment and returns the CPU for state inspection.
+// Runs a fragment and returns the CPU for state inspection. Every fragment runs twice —
+// on block dispatch and on the step interpreter (recording probe attached) — and both
+// runs must leave identical r0-r7, NZCV, counters and op histogram, which pins the one
+// copy of the op semantics from both of its callers.
 struct RunState {
   std::unique_ptr<Machine> machine;
   CpuFlags flags;
@@ -21,15 +27,38 @@ struct RunState {
   uint32_t r1;
 };
 
+std::unique_ptr<Machine> RunOnce(const AssembledProgram& p,
+                                 std::initializer_list<uint32_t> args, CpuProbe* probe) {
+  auto m = std::make_unique<Machine>();
+  m->cpu().set_probe(probe);
+  m->LoadBytes(kFlash, p.bytes);
+  m->CallFunction(kFlash, args);
+  m->cpu().set_probe(nullptr);
+  return m;
+}
+
 RunState RunAsm(const std::string& body, std::initializer_list<uint32_t> args = {}) {
-  RunState st;
-  st.machine = std::make_unique<Machine>();
   const AssembledProgram p = Assemble(body + "\nbx lr\n", kFlash);
-  st.machine->LoadBytes(kFlash, p.bytes);
-  st.machine->CallFunction(kFlash, args);
-  st.flags = st.machine->cpu().flags();
-  st.r0 = st.machine->cpu().reg(0);
-  st.r1 = st.machine->cpu().reg(1);
+  testutil::RecordingProbe probe;
+  const std::unique_ptr<Machine> stepped = RunOnce(p, args, &probe);
+  RunState st;
+  st.machine = RunOnce(p, args, nullptr);
+  const Cpu& b = st.machine->cpu();
+  const Cpu& s = stepped->cpu();
+  for (int r = 0; r < 8; ++r) {
+    EXPECT_EQ(b.reg(r), s.reg(r)) << "r" << r << " differs between execution paths";
+  }
+  EXPECT_EQ(b.flags().n, s.flags().n);
+  EXPECT_EQ(b.flags().z, s.flags().z);
+  EXPECT_EQ(b.flags().c, s.flags().c);
+  EXPECT_EQ(b.flags().v, s.flags().v);
+  EXPECT_EQ(b.cycles(), s.cycles());
+  EXPECT_EQ(b.instructions(), s.instructions());
+  EXPECT_EQ(b.op_histogram(), s.op_histogram());
+  EXPECT_EQ(probe.retires.size(), s.instructions());
+  st.flags = b.flags();
+  st.r0 = b.reg(0);
+  st.r1 = b.reg(1);
   return st;
 }
 

@@ -528,8 +528,6 @@ TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
     // Same inference profiled without leaving block-compiled execution.
     DeployedModel blocked = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
     Cpu& cpu = blocked.machine().cpu();
-    cpu.EnableDecodeCache(true);
-    cpu.EnableBlockCompile(true);
     cpu.ResetCounters();
     PcProfile block_profile;
     {
@@ -551,23 +549,19 @@ TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
 TEST(BlockProfilerTest, ProfileModesAgreeExceptProvenance) {
   NeuroCModel model = MakeSmallModel(22);
   DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-  const InferenceProfile legacy = ProfileInferenceDetailed(deployed, 64, ProfileMode::kLegacy);
   const InferenceProfile cached = ProfileInferenceDetailed(deployed, 64, ProfileMode::kCached);
   const InferenceProfile block = ProfileInferenceDetailed(deployed, 64, ProfileMode::kBlock);
 
-  EXPECT_EQ(legacy.mode, ProfileMode::kLegacy);
   EXPECT_EQ(cached.mode, ProfileMode::kCached);
   EXPECT_EQ(block.mode, ProfileMode::kBlock);
-  EXPECT_EQ(legacy.attribution.source, kProfileSourceStepProbe);
   EXPECT_EQ(cached.attribution.source, kProfileSourceStepProbe);
   EXPECT_EQ(block.attribution.source, kProfileSourceBlockCounters);
 
-  // The decode path changes how fast the host simulates, never what is simulated.
-  EXPECT_EQ(legacy.summary.cycles, block.summary.cycles);
-  EXPECT_EQ(legacy.summary.instructions, block.summary.instructions);
-  ExpectProfilesBitIdentical(block.attribution, legacy.attribution);
+  // The execution path changes how fast the host simulates, never what is simulated.
+  EXPECT_EQ(cached.summary.cycles, block.summary.cycles);
+  EXPECT_EQ(cached.summary.instructions, block.summary.instructions);
   ExpectProfilesBitIdentical(block.attribution, cached.attribution);
-  EXPECT_DOUBLE_EQ(block.energy.total_pj, legacy.energy.total_pj);
+  EXPECT_DOUBLE_EQ(block.energy.total_pj, cached.energy.total_pj);
 }
 
 TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
@@ -585,7 +579,6 @@ TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
   config.max_instructions = full_instructions / 4;
   DeployedModel aborted = DeployedModel::Deploy(model, config);
   Cpu& cpu = aborted.machine().cpu();
-  cpu.EnableBlockCompile(true);
   cpu.ResetCounters();
   PcProfile profile;
   {
@@ -604,17 +597,15 @@ TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
 
 TEST(ProfileModeTest, ParseAcceptsExactlyTheDocumentedNames) {
   ProfileMode mode = ProfileMode::kBlock;
-  EXPECT_TRUE(ParseProfileMode("legacy", &mode));
-  EXPECT_EQ(mode, ProfileMode::kLegacy);
   EXPECT_TRUE(ParseProfileMode("cached", &mode));
   EXPECT_EQ(mode, ProfileMode::kCached);
   EXPECT_TRUE(ParseProfileMode("block", &mode));
   EXPECT_EQ(mode, ProfileMode::kBlock);
+  EXPECT_FALSE(ParseProfileMode("legacy", &mode));
   EXPECT_FALSE(ParseProfileMode("turbo", &mode));
   EXPECT_FALSE(ParseProfileMode("", &mode));
   EXPECT_EQ(mode, ProfileMode::kBlock);  // untouched on failure
 
-  EXPECT_STREQ(ProfileModeName(ProfileMode::kLegacy), "legacy");
   EXPECT_STREQ(ProfileModeName(ProfileMode::kCached), "cached");
   EXPECT_STREQ(ProfileModeName(ProfileMode::kBlock), "block");
 }

@@ -1,9 +1,9 @@
 // Block-compiled execution: fusing straight-line basic blocks into one dispatch per block
-// must be an invisible optimization, exactly like the predecode cache underneath it.
-// Cycles, instruction counts, op histograms, memory statistics, heatmaps, fault reports
-// and probe streams all have to be bit-identical across the three decode paths (legacy
-// interpreter, predecode cache, block compilation), and attaching a CpuProbe mid-run must
-// transparently fall back to the step interpreter with exact per-PC attribution.
+// must be an invisible optimization. Cycles, instruction counts, op histograms, memory
+// statistics, heatmaps, fault reports and flags all have to be bit-identical between
+// block dispatch and the step interpreter (probe attached), and attaching a CpuProbe
+// mid-run must transparently fall back to the step interpreter with exact per-PC
+// attribution.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +18,13 @@
 #include "src/obs/sim_profiler.h"
 #include "src/runtime/deployed_model.h"
 #include "src/sim/machine.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
+
+using testutil::ConfigurePath;
+using testutil::Path;
 
 constexpr uint32_t kFlash = 0x08000000;
 constexpr uint32_t kRam = 0x20000000;
@@ -42,72 +46,44 @@ NeuroCModel MakeModel(uint64_t seed, EncodingKind kind) {
   return NeuroCModel::FromLayers(std::move(layers));
 }
 
-// The three decode paths under comparison. `block` is the deploy default; the other two
-// peel off one optimization layer each.
-enum class Path { kLegacy, kCached, kBlock };
-
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy:
-      cpu.EnableDecodeCache(false);
-      break;
-    case Path::kCached:
-      cpu.EnableBlockCompile(false);
-      break;
-    case Path::kBlock:
-      break;  // deploy default
-  }
-}
-
 class BlockParityTest : public ::testing::TestWithParam<EncodingKind> {};
 
 // Full inference with heatmaps attached: every architectural and observational quantity
-// must agree across legacy / cached / block for the same model and inputs.
-TEST_P(BlockParityTest, FullInferenceBitIdenticalAcrossAllThreePaths) {
+// must agree between block dispatch and the interpreter for the same model and inputs.
+TEST_P(BlockParityTest, FullInferenceBitIdenticalToInterpreter) {
   const EncodingKind kind = GetParam();
   DeployedModel block = DeployedModel::Deploy(MakeModel(21, kind));
-  DeployedModel cached = DeployedModel::Deploy(MakeModel(21, kind));
-  DeployedModel legacy = DeployedModel::Deploy(MakeModel(21, kind));
-  ASSERT_TRUE(block.machine().cpu().block_compile_enabled());
-  ASSERT_TRUE(block.machine().cpu().decode_cache_enabled());
-  ConfigurePath(cached.machine().cpu(), Path::kCached);
-  ConfigurePath(legacy.machine().cpu(), Path::kLegacy);
+  DeployedModel interp = DeployedModel::Deploy(MakeModel(21, kind));
+  ConfigurePath(interp.machine().cpu(), Path::kInterpreter);
 
   block.machine().memory().EnableHeatmap(64);
-  cached.machine().memory().EnableHeatmap(64);
-  legacy.machine().memory().EnableHeatmap(64);
+  interp.machine().memory().EnableHeatmap(64);
 
   Rng rng(5);
   for (int rep = 0; rep < 3; ++rep) {
     const std::vector<int8_t> input = MakeRandomInput(block.input_dim(), rng);
-    const int b = block.Predict(input);
-    EXPECT_EQ(b, cached.Predict(input));
-    EXPECT_EQ(b, legacy.Predict(input));
-    EXPECT_EQ(block.report().cycles_per_inference, legacy.report().cycles_per_inference);
-    EXPECT_EQ(block.LastOutput(), legacy.LastOutput());
+    EXPECT_EQ(block.Predict(input), interp.Predict(input));
+    EXPECT_EQ(block.report().cycles_per_inference, interp.report().cycles_per_inference);
+    EXPECT_EQ(block.LastOutput(), interp.LastOutput());
   }
 
   const Cpu& bc = block.machine().cpu();
-  const Cpu& cc = cached.machine().cpu();
-  const Cpu& lc = legacy.machine().cpu();
-  EXPECT_EQ(bc.cycles(), lc.cycles());
-  EXPECT_EQ(bc.instructions(), lc.instructions());
-  EXPECT_EQ(bc.op_histogram(), lc.op_histogram());
-  EXPECT_EQ(cc.cycles(), lc.cycles());
-  EXPECT_EQ(cc.instructions(), lc.instructions());
-  EXPECT_EQ(cc.op_histogram(), lc.op_histogram());
+  const Cpu& ic = interp.machine().cpu();
+  EXPECT_EQ(bc.cycles(), ic.cycles());
+  EXPECT_EQ(bc.instructions(), ic.instructions());
+  EXPECT_EQ(bc.op_histogram(), ic.op_histogram());
 
   const MemAccessStats& bs = block.machine().memory().stats();
-  const MemAccessStats& ls = legacy.machine().memory().stats();
-  EXPECT_EQ(bs.flash_reads, ls.flash_reads);
-  EXPECT_EQ(bs.sram_reads, ls.sram_reads);
-  EXPECT_EQ(bs.sram_writes, ls.sram_writes);
+  const MemAccessStats& is = interp.machine().memory().stats();
+  EXPECT_EQ(bs.flash_reads, is.flash_reads);
+  EXPECT_EQ(bs.sram_reads, is.sram_reads);
+  EXPECT_EQ(bs.sram_writes, is.sram_writes);
 
   const MemHeatmap& bh = block.machine().memory().heatmap();
-  const MemHeatmap& lh = legacy.machine().memory().heatmap();
-  EXPECT_EQ(bh.flash_reads, lh.flash_reads);
-  EXPECT_EQ(bh.sram_reads, lh.sram_reads);
-  EXPECT_EQ(bh.sram_writes, lh.sram_writes);
+  const MemHeatmap& ih = interp.machine().memory().heatmap();
+  EXPECT_EQ(bh.flash_reads, ih.flash_reads);
+  EXPECT_EQ(bh.sram_reads, ih.sram_reads);
+  EXPECT_EQ(bh.sram_writes, ih.sram_writes);
 }
 
 // Attaching a profiler mid-run must transparently disable block dispatch (probe streams
@@ -117,7 +93,6 @@ TEST_P(BlockParityTest, ProbeAttachMidRunFallsBackWithExactAttribution) {
   const EncodingKind kind = GetParam();
   DeployedModel probed = DeployedModel::Deploy(MakeModel(33, kind));
   DeployedModel plain = DeployedModel::Deploy(MakeModel(33, kind));
-  ASSERT_TRUE(probed.machine().cpu().block_compile_enabled());
 
   Rng rng(7);
   const std::vector<int8_t> in0 = MakeRandomInput(probed.input_dim(), rng);
@@ -156,7 +131,7 @@ TEST_P(BlockParityTest, ProbeAttachMidRunFallsBackWithExactAttribution) {
 
 INSTANTIATE_TEST_SUITE_P(AllEncodings, BlockParityTest, ::testing::ValuesIn(kAllEncodingKinds));
 
-// Runs `src` at kFlash on the given decode path and returns the machine post-call (whether
+// Runs `src` at kFlash on the given execution path and returns the machine post-call (whether
 // it returned or faulted). `args` go to r0..r1.
 struct CallResult {
   uint64_t cycles = 0;
@@ -187,22 +162,20 @@ CallResult RunProgram(const std::string& src, Path path, std::initializer_list<u
 void ExpectSameOutcome(const std::string& src, std::initializer_list<uint32_t> args,
                        uint64_t max_instructions = 400'000'000) {
   const CallResult b = RunProgram(src, Path::kBlock, args, max_instructions);
-  for (const Path path : {Path::kCached, Path::kLegacy}) {
-    const CallResult o = RunProgram(src, path, args, max_instructions);
-    EXPECT_EQ(b.cycles, o.cycles);
-    EXPECT_EQ(b.instructions, o.instructions);
-    EXPECT_EQ(b.r0, o.r0);
-    EXPECT_EQ(b.fault.code, o.fault.code);
-    EXPECT_EQ(b.fault.message, o.fault.message);
-    EXPECT_EQ(b.fault.pc, o.fault.pc);
-    EXPECT_EQ(b.fault.addr, o.fault.addr);
-    EXPECT_EQ(b.fault.cycles, o.fault.cycles);
-    EXPECT_EQ(b.fault.instructions, o.fault.instructions);
-    EXPECT_EQ(b.flags.n, o.flags.n);
-    EXPECT_EQ(b.flags.z, o.flags.z);
-    EXPECT_EQ(b.flags.c, o.flags.c);
-    EXPECT_EQ(b.flags.v, o.flags.v);
-  }
+  const CallResult o = RunProgram(src, Path::kInterpreter, args, max_instructions);
+  EXPECT_EQ(b.cycles, o.cycles);
+  EXPECT_EQ(b.instructions, o.instructions);
+  EXPECT_EQ(b.r0, o.r0);
+  EXPECT_EQ(b.fault.code, o.fault.code);
+  EXPECT_EQ(b.fault.message, o.fault.message);
+  EXPECT_EQ(b.fault.pc, o.fault.pc);
+  EXPECT_EQ(b.fault.addr, o.fault.addr);
+  EXPECT_EQ(b.fault.cycles, o.fault.cycles);
+  EXPECT_EQ(b.fault.instructions, o.fault.instructions);
+  EXPECT_EQ(b.flags.n, o.flags.n);
+  EXPECT_EQ(b.flags.z, o.flags.z);
+  EXPECT_EQ(b.flags.c, o.flags.c);
+  EXPECT_EQ(b.flags.v, o.flags.v);
 }
 
 // A fault in the middle of a compiled block must report the same PC, data address, cycle
@@ -227,8 +200,8 @@ TEST(BlockFaultTest, StoreToFlashFaultMatchesInterpreter) {
       {});
 }
 
-// The instruction budget must fire after exactly the same retired instruction on every
-// path; blocks that would cross the budget fall back to stepping so the overrun is
+// The instruction budget must fire after exactly the same retired instruction on both
+// execution paths; blocks that would cross the budget fall back to stepping so the overrun is
 // attributed to the precise instruction, not a block boundary.
 TEST(BlockFaultTest, InstructionBudgetFiresIdentically) {
   const std::string spin =
@@ -240,11 +213,10 @@ TEST(BlockFaultTest, InstructionBudgetFiresIdentically) {
   ExpectSameOutcome(spin, {}, /*max_instructions=*/1000);
 }
 
-// Host writes into flash invalidate compiled blocks (same listener flag as the predecode
-// cache): a patched halfword must change behaviour on the very next call.
+// Host writes into flash invalidate compiled blocks (same listener flag as the predecoded
+// slots): a patched halfword must change behaviour on the very next call.
 TEST(BlockInvalidationTest, FlashWriteInvalidatesCompiledBlocks) {
   Machine m;
-  ASSERT_TRUE(m.cpu().block_compile_enabled());
   const AssembledProgram a = Assemble("movs r0, #1\nbx lr\n", kFlash);
   m.LoadBytes(kFlash, a.bytes);
   m.CallFunction(kFlash, {});
@@ -261,17 +233,16 @@ TEST(BlockInvalidationTest, FlashWriteInvalidatesCompiledBlocks) {
 TEST(BlockFallbackTest, SramExecutionMatchesInterpreter) {
   const AssembledProgram p = Assemble("adds r0, r0, r1\nbx lr\n", kRam);
   Machine block;
-  Machine legacy;
-  ASSERT_TRUE(block.cpu().block_compile_enabled());
-  legacy.cpu().EnableDecodeCache(false);
+  Machine interp;
+  ConfigurePath(interp.cpu(), Path::kInterpreter);
   block.LoadBytes(kRam, p.bytes);
-  legacy.LoadBytes(kRam, p.bytes);
+  interp.LoadBytes(kRam, p.bytes);
   const uint64_t block_cycles = block.CallFunction(kRam, {30, 12});
-  const uint64_t legacy_cycles = legacy.CallFunction(kRam, {30, 12});
+  const uint64_t interp_cycles = interp.CallFunction(kRam, {30, 12});
   EXPECT_EQ(block.ReturnValue(), 42u);
-  EXPECT_EQ(legacy.ReturnValue(), 42u);
-  EXPECT_EQ(block_cycles, legacy_cycles);
-  EXPECT_EQ(block.cpu().instructions(), legacy.cpu().instructions());
+  EXPECT_EQ(interp.ReturnValue(), 42u);
+  EXPECT_EQ(block_cycles, interp_cycles);
+  EXPECT_EQ(block.cpu().instructions(), interp.cpu().instructions());
 }
 
 // Dead-flag elision must never be observable: ADC consumes carry produced many

@@ -1,108 +1,29 @@
-// Predecoded-instruction cache: the cached fetch path must be an invisible optimization.
-// Cycles, instruction counts, op histograms, memory statistics, heatmaps, probe callbacks
-// and trace dumps all have to be bit-identical to the legacy decode-every-step
-// interpreter, and any host write into flash must invalidate the cache.
+// Instruction fetch: the step interpreter fetches flash code from predecoded slots and
+// SRAM code (or flash past the load high-water mark) through raw Read16 + decode. Both
+// fetch paths must be invisible: one program run from flash and from SRAM under zero
+// flash wait states must leave identical registers, flags, counters, op histograms,
+// base-relative probe streams and trace dumps, and any host write into flash must
+// invalidate the predecoded slots.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <regex>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "src/core/encoding.h"
-
-#include "src/core/synthetic.h"
 #include "src/isa/assembler.h"
-#include "src/runtime/deployed_model.h"
 #include "src/sim/machine.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
 
 constexpr uint32_t kFlash = 0x08000000;
 constexpr uint32_t kRam = 0x20000000;
-
-NeuroCModel MakeModel(uint64_t seed, EncodingKind kind) {
-  Rng rng(seed);
-  SyntheticNeuroCLayerSpec l0;
-  l0.in_dim = 64;
-  l0.out_dim = 24;
-  l0.density = 0.2;
-  l0.encoding = kind;
-  SyntheticNeuroCLayerSpec l1 = l0;
-  l1.in_dim = 24;
-  l1.out_dim = 10;
-  l1.relu = false;
-  std::vector<QuantNeuroCLayer> layers;
-  layers.push_back(MakeSyntheticNeuroCLayer(l0, rng));
-  layers.push_back(MakeSyntheticNeuroCLayer(l1, rng));
-  return NeuroCModel::FromLayers(std::move(layers));
-}
-
-// Records every probe callback verbatim so the two decode paths can be compared
-// observation by observation.
-struct RecordingProbe : CpuProbe {
-  struct Retire {
-    uint32_t addr;
-    Op op;
-    uint32_t cycles;
-    bool operator==(const Retire&) const = default;
-  };
-  std::vector<Retire> retires;
-  void OnRetire(uint32_t addr, Op op, uint32_t cycles) override {
-    retires.push_back({addr, op, cycles});
-  }
-};
-
-class DecodeCacheParityTest : public ::testing::TestWithParam<EncodingKind> {};
-
-TEST_P(DecodeCacheParityTest, FullInferenceBitIdenticalToLegacyPath) {
-  const EncodingKind kind = GetParam();
-  DeployedModel cached = DeployedModel::Deploy(MakeModel(21, kind));
-  DeployedModel legacy = DeployedModel::Deploy(MakeModel(21, kind));
-  ASSERT_TRUE(cached.machine().cpu().decode_cache_enabled());
-  legacy.machine().cpu().EnableDecodeCache(false);
-
-  cached.machine().memory().EnableHeatmap(64);
-  legacy.machine().memory().EnableHeatmap(64);
-  RecordingProbe cached_probe;
-  RecordingProbe legacy_probe;
-  cached.machine().cpu().set_probe(&cached_probe);
-  legacy.machine().cpu().set_probe(&legacy_probe);
-
-  Rng rng(5);
-  for (int rep = 0; rep < 3; ++rep) {
-    const std::vector<int8_t> input = MakeRandomInput(cached.input_dim(), rng);
-    EXPECT_EQ(cached.Predict(input), legacy.Predict(input));
-    EXPECT_EQ(cached.report().cycles_per_inference, legacy.report().cycles_per_inference);
-    EXPECT_EQ(cached.LastOutput(), legacy.LastOutput());
-  }
-
-  const Cpu& cc = cached.machine().cpu();
-  const Cpu& lc = legacy.machine().cpu();
-  EXPECT_EQ(cc.cycles(), lc.cycles());
-  EXPECT_EQ(cc.instructions(), lc.instructions());
-  EXPECT_EQ(cc.op_histogram(), lc.op_histogram());
-
-  const MemAccessStats& cs = cached.machine().memory().stats();
-  const MemAccessStats& ls = legacy.machine().memory().stats();
-  EXPECT_EQ(cs.flash_reads, ls.flash_reads);
-  EXPECT_EQ(cs.sram_reads, ls.sram_reads);
-  EXPECT_EQ(cs.sram_writes, ls.sram_writes);
-
-  const MemHeatmap& ch = cached.machine().memory().heatmap();
-  const MemHeatmap& lh = legacy.machine().memory().heatmap();
-  EXPECT_EQ(ch.flash_reads, lh.flash_reads);
-  EXPECT_EQ(ch.sram_reads, lh.sram_reads);
-  EXPECT_EQ(ch.sram_writes, lh.sram_writes);
-
-  EXPECT_EQ(cached_probe.retires, legacy_probe.retires);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllEncodings, DecodeCacheParityTest,
-                         ::testing::ValuesIn(kAllEncodingKinds));
 
 TEST(DecodeCacheTest, FlashWriteInvalidatesCache) {
   Machine m;
@@ -135,65 +56,134 @@ TEST(DecodeCacheTest, FlashGenerationTracksFlashWritesOnly) {
   EXPECT_GE(mem.flash_high_water(), 18u);
 }
 
-TEST(DecodeCacheTest, SramExecutionMatchesLegacyPath) {
-  // Code executing from SRAM bypasses the flash decode cache; both paths must agree on
-  // result and cycle count (no flash wait states on SRAM fetches).
-  const AssembledProgram p = Assemble("adds r0, r0, r1\nbx lr\n", kRam);
-  Machine cached;
-  Machine legacy;
-  legacy.cpu().EnableDecodeCache(false);
-  cached.LoadBytes(kRam, p.bytes);
-  legacy.LoadBytes(kRam, p.bytes);
-  const uint64_t cached_cycles = cached.CallFunction(kRam, {30, 12});
-  const uint64_t legacy_cycles = legacy.CallFunction(kRam, {30, 12});
-  EXPECT_EQ(cached.ReturnValue(), 42u);
-  EXPECT_EQ(legacy.ReturnValue(), 42u);
-  EXPECT_EQ(cached_cycles, legacy_cycles);
-  EXPECT_EQ(cached.cpu().instructions(), legacy.cpu().instructions());
+// Rewrites every address inside [base, base + 64 KB) in a trace dump — the address column
+// and absolute branch targets alike — as an offset from base, so dumps of one program
+// loaded at two bases compare equal.
+std::string Rebase(const std::string& dump, uint32_t base) {
+  static const std::regex kHexAddr("(0x)?([0-9a-f]{7,8})\\b");
+  std::string out;
+  auto last = dump.cbegin();
+  for (std::sregex_iterator it(dump.begin(), dump.end(), kHexAddr), end; it != end; ++it) {
+    const std::smatch& m = *it;
+    out.append(last, m[0].first);
+    const uint32_t value = static_cast<uint32_t>(std::stoul(m[2].str(), nullptr, 16));
+    if (value - base < 0x10000u) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "base+0x%x", value - base);
+      out += buf;
+    } else {
+      out += m[0].str();
+    }
+    last = m[0].second;
+  }
+  out.append(last, dump.cend());
+  return out;
 }
 
-TEST(DecodeCacheTest, TraceDumpsIdenticalAcrossPaths) {
-  const std::string src = "movs r0, #3\nmovs r1, #4\nadds r0, r0, r1\nbx lr\n";
-  const AssembledProgram p = Assemble(src, kFlash);
-  Machine cached;
-  Machine legacy;
-  legacy.cpu().EnableDecodeCache(false);
-  cached.cpu().EnableTrace(8);
-  legacy.cpu().EnableTrace(8);
-  cached.LoadBytes(kFlash, p.bytes);
-  legacy.LoadBytes(kFlash, p.bytes);
-  cached.CallFunction(kFlash, {});
-  legacy.CallFunction(kFlash, {});
-  const std::string cached_dump = cached.cpu().DumpTrace();
-  EXPECT_EQ(cached_dump, legacy.cpu().DumpTrace());
-  EXPECT_NE(cached_dump.find("adds r0, r0, r1"), std::string::npos);
+struct FetchRun {
+  std::array<uint32_t, 8> low_regs{};
+  uint32_t sp = 0;
+  CpuFlags flags;
+  uint64_t cycles = 0;
+  uint64_t instructions = 0;
+  std::array<uint64_t, 80> histogram{};
+  std::vector<testutil::RecordingProbe::Retire> retires;  // base-relative addresses
+  std::string trace;                                      // base-relative
+};
+
+// Runs the program assembled at `base` with a recording probe and a trace ring attached,
+// so every instruction goes through the step interpreter's fetch path for that region.
+FetchRun RunFetchProgram(uint32_t base) {
+  const std::string src =
+      "  push {r4, r5, lr}\n"
+      "  ldr r4, =0x12345678\n"  // literal load from the program's own region
+      "  movs r0, #0\n"
+      "  movs r5, #4\n"
+      "loop:\n"
+      "  bl helper\n"  // wide (two-halfword) encoding
+      "  subs r5, r5, #1\n"
+      "  bne loop\n"
+      "  adds r0, r0, r4\n"
+      "  pop {r4, r5, pc}\n"
+      "helper:\n"
+      "  adds r0, r0, #3\n"
+      "  bx lr\n";
+  const AssembledProgram p = Assemble(src, base);
+  testutil::RecordingProbe probe;  // declared first so it outlives its attachment
+  Machine m;
+  m.cpu().set_probe(&probe);
+  m.cpu().EnableTrace(64);
+  m.LoadBytes(base, p.bytes);
+  m.CallFunction(base, {});
+  FetchRun r;
+  for (int i = 0; i < 8; ++i) {
+    r.low_regs[static_cast<size_t>(i)] = m.cpu().reg(i);
+  }
+  r.sp = m.cpu().reg(kRegSp);
+  r.flags = m.cpu().flags();
+  r.cycles = m.cpu().cycles();
+  r.instructions = m.cpu().instructions();
+  r.histogram = m.cpu().op_histogram();
+  r.retires = probe.retires;
+  for (auto& retire : r.retires) {
+    retire.addr -= base;
+  }
+  r.trace = Rebase(m.cpu().DumpTrace(), base);
+  return r;
 }
 
-// Regression: a BL prefix halfword (0xF000) sitting on the last mapped flash halfword used
-// to abort with a misleading "unmapped address" memory fault *before* the trace entry was
+TEST(FetchPathTest, PredecodedFlashFetchMatchesRawSramFetch) {
+  ASSERT_EQ(MachineConfig{}.cycle_model.flash_wait_states, 0);
+  const FetchRun flash = RunFetchProgram(kFlash);
+  const FetchRun sram = RunFetchProgram(kRam);
+  EXPECT_EQ(flash.low_regs[0], 0x12345678u + 4 * 3);
+  EXPECT_EQ(flash.low_regs, sram.low_regs);
+  EXPECT_EQ(flash.sp, sram.sp);
+  EXPECT_EQ(flash.flags.n, sram.flags.n);
+  EXPECT_EQ(flash.flags.z, sram.flags.z);
+  EXPECT_EQ(flash.flags.c, sram.flags.c);
+  EXPECT_EQ(flash.flags.v, sram.flags.v);
+  EXPECT_EQ(flash.cycles, sram.cycles);
+  EXPECT_EQ(flash.instructions, sram.instructions);
+  EXPECT_EQ(flash.histogram, sram.histogram);
+  EXPECT_EQ(flash.retires, sram.retires);
+  EXPECT_EQ(flash.trace, sram.trace);
+  EXPECT_NE(flash.trace.find("bl base+0x"), std::string::npos);
+  EXPECT_NE(flash.trace.find("pop {r4, r5, pc}"), std::string::npos);
+}
+
+// Regression: a BL prefix halfword (0xF000) sitting on the last mapped halfword used to
+// abort with a misleading "unmapped address" memory fault *before* the trace entry was
 // recorded, so the faulting instruction never appeared in the dump. It must be reported as
-// an undefined instruction, with the faulting halfword in the dump exactly once.
-void RunWidePrefixAtFlashEnd(bool use_cache) {
+// an undefined instruction, with the faulting halfword in the dump exactly once — both
+// from a predecoded flash slot and through the raw SRAM fetch.
+void RunWidePrefixAt(uint32_t last_halfword) {
   MachineConfig cfg;
   cfg.flash_size = 1024;
   Machine m(cfg);
-  m.cpu().EnableDecodeCache(use_cache);
   m.cpu().EnableTrace(8);
-  const uint32_t last_halfword = kFlash + cfg.flash_size - 2;
   const uint8_t bl_prefix[2] = {0x00, 0xF0};
   m.LoadBytes(last_halfword, bl_prefix);
   m.CallFunction(last_halfword, {});
 }
 
-TEST(DecodeCacheDeathTest, WidePrefixAtFlashEndFaultsAsUndefinedWithTrace) {
-  // One trace line (the faulting instruction), then the undefined-instruction report —
-  // i.e. the faulting halfword appears in the dump exactly once, as the last entry.
-  const char* expected =
-      "recent instructions:\n"
-      "  080003fe: f000[^\n]*\n"
-      "simulator: undefined instruction 0xf000 at 0x080003fe";
-  EXPECT_DEATH(RunWidePrefixAtFlashEnd(/*use_cache=*/true), expected);
-  EXPECT_DEATH(RunWidePrefixAtFlashEnd(/*use_cache=*/false), expected);
+std::string WidePrefixReport(uint32_t last_halfword) {
+  // One trace line (the faulting instruction), then the undefined-instruction report.
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "recent instructions:\n"
+                "  %08x: f000[^\n]*\n"
+                "simulator: undefined instruction 0xf000 at 0x%08x",
+                last_halfword, last_halfword);
+  return buf;
+}
+
+TEST(DecodeCacheDeathTest, WidePrefixAtRegionEndFaultsAsUndefinedWithTrace) {
+  const MachineConfig defaults;
+  const uint32_t flash_end = kFlash + 1024 - 2;
+  const uint32_t sram_end = defaults.ram_base + defaults.ram_size - 2;
+  EXPECT_DEATH(RunWidePrefixAt(flash_end), WidePrefixReport(flash_end));
+  EXPECT_DEATH(RunWidePrefixAt(sram_end), WidePrefixReport(sram_end));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Shared helpers for the unit tests: seeded random-model construction (previously
-// duplicated across the firmware, robustness and fault-campaign tests), the global
-// thread-pool guard, and the FakeClient serve-protocol driver (tests that use it must
-// link neuroc_serve). Layers are built sequentially from a single Rng, so a (seed, spec)
+// duplicated across the firmware, robustness and fault-campaign tests), the simulator
+// execution-path selection (block dispatch vs the step interpreter), the global
+// thread-pool guard, and the scripted FakeClient for the serve protocol (tests that use it
+// must link neuroc_serve). Layers are built sequentially from a single Rng, so a (seed, spec)
 // pair fully determines the model.
 
 #ifndef NEUROC_TESTS_TEST_UTIL_H_
@@ -17,6 +18,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/synthetic.h"
 #include "src/serve/frame.h"
+#include "src/sim/cpu.h"
 
 namespace neuroc::testutil {
 
@@ -42,6 +44,36 @@ inline NeuroCModel MakeTestModel(uint64_t seed, const TestModelSpec& spec = {}) 
     layers.push_back(MakeSyntheticNeuroCLayer(layer, rng));
   }
   return NeuroCModel::FromLayers(std::move(layers));
+}
+
+// Records every retire callback verbatim, so two runs can be compared observation by
+// observation.
+struct RecordingProbe : CpuProbe {
+  struct Retire {
+    uint32_t addr;
+    Op op;
+    uint32_t cycles;
+    bool operator==(const Retire&) const = default;
+  };
+  std::vector<Retire> retires;
+  void OnRetire(uint32_t addr, Op op, uint32_t cycles) override {
+    retires.push_back({addr, op, cycles});
+  }
+};
+
+// The two simulator execution paths. Attaching any CpuProbe routes Cpu::Run through the
+// step interpreter for every instruction; with none attached, flash code runs on block
+// dispatch (the deploy default). Both execute the one copy of the op semantics, so
+// parity between them pins the paths' fetch, accounting and fault bookkeeping.
+enum class Path { kInterpreter, kBlock };
+constexpr Path kAllPaths[] = {Path::kInterpreter, Path::kBlock};
+
+inline void ConfigurePath(Cpu& cpu, Path path) {
+  struct NullProbe : CpuProbe {
+    void OnRetire(uint32_t, Op, uint32_t) override {}
+  };
+  static NullProbe probe;  // stateless, so one instance serves every machine
+  cpu.set_probe(path == Path::kInterpreter ? &probe : nullptr);
 }
 
 // Restores the default (env-derived) global pool size when a test returns or throws.

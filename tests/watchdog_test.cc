@@ -1,6 +1,6 @@
 // Watchdog supervisor: runaway guest execution must be stopped with a structured
 // kDeadlineExceeded fault — distinguishable from guest faults, with PC provenance — at
-// exactly the same retired instruction on every decode path, including when the cycle
+// exactly the same retired instruction on both simulator execution paths, including when the cycle
 // budget lands inside or exactly on a compiled-block boundary. The recovery ladder must
 // then bring a watchdog-stricken deployment back to correct predictions.
 
@@ -22,16 +22,9 @@ namespace {
 
 constexpr uint32_t kFlash = 0x08000000;
 
-enum class Path { kLegacy, kCached, kBlock };
-constexpr Path kAllPaths[] = {Path::kLegacy, Path::kCached, Path::kBlock};
-
-void ConfigurePath(Cpu& cpu, Path path) {
-  switch (path) {
-    case Path::kLegacy: cpu.EnableDecodeCache(false); break;
-    case Path::kCached: cpu.EnableBlockCompile(false); break;
-    case Path::kBlock: break;
-  }
-}
+using testutil::ConfigurePath;
+using testutil::kAllPaths;
+using testutil::Path;
 
 NeuroCModel SmallModel(uint64_t seed, EncodingKind kind = EncodingKind::kBlock) {
   testutil::TestModelSpec spec;
@@ -156,7 +149,7 @@ TEST(WatchdogTest, DeadlineFiresIdenticallyAcrossPathsForEveryBudget) {
     uint32_t pc;
   };
   for (uint64_t budget = 1; budget <= 64; ++budget) {
-    Outcome outcomes[3];
+    Outcome outcomes[2];
     int i = 0;
     for (const Path path : kAllPaths) {
       Machine m;
@@ -167,13 +160,10 @@ TEST(WatchdogTest, DeadlineFiresIdenticallyAcrossPathsForEveryBudget) {
       const FaultReport& f = m.last_fault();
       outcomes[i++] = {f.code, f.cycles, f.instructions, f.pc};
     }
-    for (int p = 1; p < 3; ++p) {
-      EXPECT_EQ(outcomes[0].code, outcomes[p].code) << "budget=" << budget;
-      EXPECT_EQ(outcomes[0].cycles, outcomes[p].cycles) << "budget=" << budget;
-      EXPECT_EQ(outcomes[0].instructions, outcomes[p].instructions)
-          << "budget=" << budget;
-      EXPECT_EQ(outcomes[0].pc, outcomes[p].pc) << "budget=" << budget;
-    }
+    EXPECT_EQ(outcomes[0].code, outcomes[1].code) << "budget=" << budget;
+    EXPECT_EQ(outcomes[0].cycles, outcomes[1].cycles) << "budget=" << budget;
+    EXPECT_EQ(outcomes[0].instructions, outcomes[1].instructions) << "budget=" << budget;
+    EXPECT_EQ(outcomes[0].pc, outcomes[1].pc) << "budget=" << budget;
     EXPECT_EQ(outcomes[0].code, ErrorCode::kDeadlineExceeded);
     // The deadline is a strict bound: the guest never runs past budget by more than the
     // cost of the instruction that crossed it.

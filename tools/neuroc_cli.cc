@@ -6,7 +6,7 @@
 //   neuroc inspect --model model.ncm
 //   neuroc bench   --model model.ncm [--platform STM32F072RB]
 //   neuroc profile --model model.ncm [--platform STM32F072RB] [--json out.json]
-//                  [--trace out.trace] [--asm] [--mode legacy|cached|block]
+//                  [--trace out.trace] [--asm] [--mode cached|block]
 //   neuroc deploy  --model model.ncm --format c|hex --out <path> [--prefix name]
 //   neuroc faultcampaign [--trials N] [--seed N] [--fault bitflip|multibit|stuck0|stuck1]
 //                  [--bits N] [--trigger pre|mid] [--regions a,b,..] [--encodings a,b,..]
@@ -80,7 +80,7 @@ int Usage() {
                "  inspect --model model.ncm\n"
                "  bench   --model model.ncm [--platform STM32F072RB]\n"
                "  profile --model model.ncm [--platform STM32F072RB] [--json out.json]\n"
-               "          [--trace out.trace] [--asm] [--mode <legacy|cached|block>]\n"
+               "          [--trace out.trace] [--asm] [--mode <cached|block>]\n"
                "          [--encoding <csc|delta|mixed|block|unrolled>]\n"
                "  deploy  --model model.ncm --format <c|hex> --out <path> [--prefix name]\n"
                "          [--encoding <csc|delta|mixed|block|unrolled>]\n"
@@ -299,7 +299,7 @@ int CmdProfile(const Args& args) {
               platform.core.c_str(), platform.clock_hz / 1e6, platform.flash_bytes / 1024);
   ProfileMode mode = ProfileMode::kBlock;
   if (args.Has("mode") && !ParseProfileMode(args.Get("mode"), &mode)) {
-    std::fprintf(stderr, "unknown profile mode: %s (legacy|cached|block)\n",
+    std::fprintf(stderr, "unknown profile mode: %s (cached|block)\n",
                  args.Get("mode"));
     return 2;
   }
