@@ -1,8 +1,6 @@
 #include "src/runtime/profile.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/obs/block_profiler.h"
@@ -11,11 +9,6 @@
 namespace neuroc {
 
 namespace {
-
-// Default stack headroom below which deployment is considered at risk: the board has
-// 16 KB of SRAM total, and a stack growing into the activation buffers corrupts
-// inference silently.
-constexpr uint32_t kDefaultStackHeadroomWarnBytes = 256;
 
 enum class OpCategory { kLoad, kStore, kAlu, kMul, kBranch, kStack };
 
@@ -116,86 +109,31 @@ std::array<uint64_t, kEnergyClassCount> CyclesByEnergyClass(const ExecutionProfi
   return cycles;
 }
 
-// Runs one zero-input inference under the mode's attribution backend. kCached attaches
-// the step-interpreter probe (which transparently drops Run to Step); kBlock stays on
-// block-compiled dispatch and uses the block-granular counters.
-PcProfile RunAttributedInference(DeployedModel& model, ProfileMode mode) {
+// Runs one zero-input inference under the block-granular counters.
+PcProfile RunAttributedInference(DeployedModel& model) {
   Cpu& cpu = model.machine().cpu();
   cpu.ResetCounters();
-
-  PcProfile out;
-  const std::vector<int8_t> zeros(model.input_dim(), 0);
-  if (mode == ProfileMode::kBlock) {
-    BlockProfiler profiler(cpu);
-    model.Predict(zeros);
-    out = profiler.Collect();
-  } else {
-    SimProfiler profiler;
-    ScopedCpuProbe attach(cpu, &profiler);
-    model.Predict(zeros);
-    out = profiler.profile();
-  }
+  BlockProfiler profiler(cpu);
+  model.Predict(std::vector<int8_t>(model.input_dim(), 0));
   MetricsRegistry::Global().GetCounter("profile.runs").Add(1);
-  return out;
+  return profiler.Collect();
 }
 
 }  // namespace
 
-const char* ProfileModeName(ProfileMode mode) {
-  switch (mode) {
-    case ProfileMode::kCached:
-      return "cached";
-    case ProfileMode::kBlock:
-      return "block";
-  }
-  return "block";
-}
-
-bool ParseProfileMode(std::string_view name, ProfileMode* out) {
-  if (name == "cached") {
-    *out = ProfileMode::kCached;
-  } else if (name == "block") {
-    *out = ProfileMode::kBlock;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-uint32_t StackHeadroomWarnBytes() {
-  static const uint32_t value = [] {
-    uint32_t v = kDefaultStackHeadroomWarnBytes;
-    if (const char* env = std::getenv("NEUROC_SRAM_HEADROOM");
-        env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != nullptr && *end == '\0' && parsed <= 0xFFFFFFFFul) {
-        v = static_cast<uint32_t>(parsed);
-      } else {
-        NEUROC_LOG_WARN("ignoring malformed NEUROC_SRAM_HEADROOM=\"%s\"", env);
-      }
-    }
-    MetricsRegistry::Global().GetGauge("profile.sram_headroom_warn_bytes").Set(v);
-    return v;
-  }();
-  return value;
-}
-
-ExecutionProfile ProfileInference(DeployedModel& model, ProfileMode mode) {
-  const PcProfile attribution = RunAttributedInference(model, mode);
+ExecutionProfile ProfileInference(DeployedModel& model) {
+  const PcProfile attribution = RunAttributedInference(model);
   return SummarizeAttribution(attribution, model.machine().memory().stats());
 }
 
 InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
-                                          uint32_t heatmap_bucket_bytes,
-                                          ProfileMode mode) {
+                                          uint32_t heatmap_bucket_bytes) {
   Machine& machine = model.machine();
   machine.memory().EnableHeatmap(heatmap_bucket_bytes);
   machine.memory().EnableStackWatch(model.activation_top_addr());
 
   InferenceProfile out;
-  out.mode = mode;
-  out.attribution = RunAttributedInference(model, mode);
+  out.attribution = RunAttributedInference(model);
   out.summary = SummarizeAttribution(out.attribution, machine.memory().stats());
   out.hotspots =
       BuildHotspotReport(out.attribution, SymbolTable(model.kernel_program().symbols));
@@ -215,11 +153,11 @@ InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
     MetricsRegistry::Global()
         .GetGauge("profile.stack_headroom_bytes")
         .Set(out.stack_headroom_bytes);
-    if (out.stack_headroom_bytes < StackHeadroomWarnBytes()) {
+    if (out.stack_headroom_bytes < kStackHeadroomWarnBytes) {
       NEUROC_LOG_WARN(
           "simulated stack high-water mark within %u B of the activation buffers "
           "(stack uses %u B, headroom %u B of %u B SRAM)",
-          StackHeadroomWarnBytes(), out.stack_bytes_used, out.stack_headroom_bytes,
+          kStackHeadroomWarnBytes, out.stack_bytes_used, out.stack_headroom_bytes,
           machine.config().ram_size);
     }
   }
@@ -264,8 +202,7 @@ std::string FormatInferenceProfile(const InferenceProfile& profile,
                                    bool annotated_disassembly) {
   std::string out = FormatProfile(profile.summary);
   char buf[192];
-  std::snprintf(buf, sizeof(buf), "decode mode: %s  attribution: %s\n",
-                ProfileModeName(profile.mode), profile.attribution.source.c_str());
+  std::snprintf(buf, sizeof(buf), "attribution: %s\n", profile.attribution.source.c_str());
   out += buf;
   const double clock_hz = model.machine().config().clock_hz;
   std::snprintf(buf, sizeof(buf),
@@ -306,9 +243,8 @@ void WriteInferenceProfileJson(JsonWriter& w, const InferenceProfile& profile,
                                const DeployedModel& model) {
   const ExecutionProfile& p = profile.summary;
   w.BeginObject();
-  w.Key("schema").Value("neuroc.profile.v2");
-  // Provenance: which decode/execution path ran and which backend attributed it.
-  w.Key("mode").Value(ProfileModeName(profile.mode));
+  w.Key("schema").Value("neuroc.profile.v3");
+  // Provenance: which backend attributed the run.
   w.Key("profiler").Value(profile.attribution.source);
   w.Key("summary").BeginObject();
   w.Key("instructions").Value(p.instructions);
@@ -355,7 +291,7 @@ void WriteInferenceProfileJson(JsonWriter& w, const InferenceProfile& profile,
   w.Key("stack").BeginObject();
   w.Key("bytes_used").Value(static_cast<uint64_t>(profile.stack_bytes_used));
   w.Key("headroom_bytes").Value(static_cast<uint64_t>(profile.stack_headroom_bytes));
-  w.Key("headroom_warn_bytes").Value(static_cast<uint64_t>(StackHeadroomWarnBytes()));
+  w.Key("headroom_warn_bytes").Value(static_cast<uint64_t>(kStackHeadroomWarnBytes));
   w.EndObject();
 
   w.Key("heatmap");

@@ -1,16 +1,16 @@
-// Execution profiling of deployed models on the simulated MCU. Since the obs PR this is
-// built on the cycle-exact flat profiler (src/obs/sim_profiler.h): instruction mix and
-// per-category cycle attribution come from per-PC/per-opcode data gathered by the CPU
-// probe, and the detailed profile adds per-symbol hotspots, per-layer cycles, memory
-// heatmaps and the SRAM stack high-water mark. This is the quantitative backing for the
-// paper's Sec. 4.1 discussion — on a cache-less in-order core, the memory-access pattern
-// and control path *are* the performance model.
+// Execution profiling of deployed models on the simulated MCU. Instruction mix and
+// per-category cycle attribution come from exact per-PC/per-opcode data (a PcProfile,
+// src/obs/sim_profiler.h) gathered by the block-granular counters, and the detailed
+// profile adds per-symbol hotspots, per-layer cycles, memory heatmaps and the SRAM stack
+// high-water mark. This is the quantitative backing for the paper's Sec. 4.1
+// discussion — on a cache-less in-order core, the memory-access pattern and control path
+// *are* the performance model.
 
 #ifndef NEUROC_SRC_RUNTIME_PROFILE_H_
 #define NEUROC_SRC_RUNTIME_PROFILE_H_
 
+#include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "src/obs/energy.h"
 #include "src/obs/json_writer.h"
@@ -19,22 +19,9 @@
 
 namespace neuroc {
 
-// Which execution path the profiled inference runs on. kCached profiles through the
-// step-interpreter probe over the predecoded flash slots (attaching a CpuProbe forces
-// the step path); kBlock stays on block-compiled execution and gathers the same exact
-// attribution through the block-granular counters (src/obs/block_profiler.h) — the
-// fast-path default.
-enum class ProfileMode { kCached, kBlock };
-
-const char* ProfileModeName(ProfileMode mode);
-// Accepts "cached" | "block".
-bool ParseProfileMode(std::string_view name, ProfileMode* out);
-
-// Stack headroom below which ProfileInferenceDetailed warns (a stack growing into the
-// activation buffers corrupts inference silently). Configurable via the
-// NEUROC_SRAM_HEADROOM environment variable; defaults to 256 bytes. Also published as
-// the registry gauge `profile.sram_headroom_warn_bytes`.
-uint32_t StackHeadroomWarnBytes();
+// Stack headroom below which ProfileInferenceDetailed warns: the board has 16 KB of SRAM
+// in total, and a stack growing into the activation buffers corrupts inference silently.
+inline constexpr uint32_t kStackHeadroomWarnBytes = 256;
 
 struct ExecutionProfile {
   uint64_t instructions = 0;
@@ -68,7 +55,6 @@ struct ExecutionProfile {
 // Full attribution package for one inference.
 struct InferenceProfile {
   ExecutionProfile summary;
-  ProfileMode mode = ProfileMode::kBlock;  // decode/execution path profiled
   PcProfile attribution;            // raw per-PC/per-opcode attribution (+ provenance)
   HotspotReport hotspots;           // per-symbol/per-loop-label cycle attribution
   std::vector<uint64_t> layer_cycles;
@@ -80,16 +66,18 @@ struct InferenceProfile {
 };
 
 // Runs one inference on `model` (zero input) and returns the profile of exactly that run.
-ExecutionProfile ProfileInference(DeployedModel& model,
-                                  ProfileMode mode = ProfileMode::kBlock);
+// Attribution comes from the block-granular counters (src/obs/block_profiler.h), so the
+// profiled run stays on block-compiled execution; the per-PC numbers are bit-identical to
+// the step-interpreter probe (SimProfiler), which tests and bench_sim_throughput keep as
+// the reference.
+ExecutionProfile ProfileInference(DeployedModel& model);
 
 // As above, plus symbol-resolved hotspots, memory heatmap (`heatmap_bucket_bytes`-sized
 // buckets), stack tracking, and the energy-proxy estimate. Warns via NEUROC_LOG_WARN
-// when the measured stack high water comes within StackHeadroomWarnBytes() of the
+// when the measured stack high water comes within kStackHeadroomWarnBytes of the
 // activation buffers.
 InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
-                                          uint32_t heatmap_bucket_bytes = 64,
-                                          ProfileMode mode = ProfileMode::kBlock);
+                                          uint32_t heatmap_bucket_bytes = 64);
 
 // Multi-line human-readable report.
 std::string FormatProfile(const ExecutionProfile& profile);

@@ -156,16 +156,15 @@ LoadGenReport RunOpenLoop(InferenceService& service, const LoadGenConfig& config
   for (uint64_t i = 0; i < config.total_requests; ++i) {
     const auto due =
         t0 + std::chrono::nanoseconds(static_cast<int64_t>(interval_ns * static_cast<double>(i)));
-    std::this_thread::sleep_until(due);  // no-op once the service falls behind
-    ServeRequest req = MakeLoadGenRequest(config, i);
-    const auto sent = std::chrono::steady_clock::now();
-    service.Submit(std::move(req), [&collector, i, sent](const ServeResponse& resp) {
-      const double ms =
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                    sent)
-              .count();
-      collector.Record(i, resp, ms);
-    });
+    std::this_thread::sleep_until(due);  // no-op once the generator falls behind
+    // Latency counts from `due`, not from the submit: time spent behind schedule is delay.
+    service.Submit(MakeLoadGenRequest(config, i),
+                   [&collector, i, due](const ServeResponse& resp) {
+                     const double ms = std::chrono::duration<double, std::milli>(
+                                           std::chrono::steady_clock::now() - due)
+                                           .count();
+                     collector.Record(i, resp, ms);
+                   });
   }
   collector.WaitFor(config.total_requests);
   const double wall_ms =

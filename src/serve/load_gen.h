@@ -12,7 +12,8 @@
 // Closed loop: `clients` workers, each sending its next request only after the previous
 // response arrived (concurrency == clients). Open loop: requests injected on a fixed
 // schedule at `offered_qps` regardless of completions — the standard way to expose
-// queueing delay past the saturation point.
+// queueing delay past the saturation point. Open-loop latency runs from each request's
+// due time on that schedule, so time the generator itself spent behind schedule counts.
 
 #ifndef NEUROC_SRC_SERVE_LOAD_GEN_H_
 #define NEUROC_SRC_SERVE_LOAD_GEN_H_

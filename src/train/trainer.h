@@ -15,8 +15,6 @@
 
 namespace neuroc {
 
-class MetricsLogger;  // src/obs/metrics.h
-
 struct TrainConfig {
   int epochs = 10;
   size_t batch_size = 64;
@@ -27,11 +25,6 @@ struct TrainConfig {
   float momentum = 0.9f;        // when use_adam == false
   uint64_t shuffle_seed = 1234;
   bool verbose = false;
-  // Optional structured observability: when set, one JSONL record per epoch (loss,
-  // accuracies, examples/sec, ternarization density) is appended to the stream. Trace
-  // spans additionally land on TraceRecorder::Global() when tracing is enabled
-  // (NEUROC_TRACE=1). Neither affects the training computation.
-  MetricsLogger* metrics = nullptr;
 };
 
 struct EpochStats {
@@ -56,7 +49,12 @@ void GatherBatch(const Dataset& ds, std::span<const size_t> indices, Tensor& bat
 // Evaluates classification accuracy of `net` on `ds` (inference mode).
 float EvaluateAccuracy(Network& net, const Dataset& ds, size_t batch_size = 256);
 
-// Trains `net` on `train` and reports per-epoch accuracy on `test`.
+// Trains `net` on `train` and reports per-epoch accuracy on `test`. Each epoch also lands
+// in MetricsRegistry::Global(): gauges train.{loss,train_accuracy,test_accuracy,
+// ternary_density,learning_rate} hold the latest epoch, and histograms train.epoch_ms and
+// train.examples_per_sec gain one observation. Trace spans and counters land on
+// TraceRecorder::Global() when tracing is enabled (NEUROC_TRACE=1). Neither affects the
+// training computation.
 TrainResult Train(Network& net, const Dataset& train, const Dataset& test,
                   const TrainConfig& cfg);
 

@@ -13,6 +13,7 @@
 #include "src/core/synthetic.h"
 #include "src/runtime/deployed_model.h"
 #include "src/runtime/fault_campaign.h"
+#include "src/runtime/recovery.h"
 #include "src/sim/fault_injector.h"
 #include "tests/test_util.h"
 
@@ -240,16 +241,18 @@ TEST(FaultCampaignTest, FullLadderJsonIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(json1.find("mean_detect_latency_cycles"), std::string::npos);
 }
 
-TEST(FaultCampaignTest, RecoveryReportOnCleanDeploymentDoesNotFault) {
-  NeuroCModel model = TinyModel(5);
-  DeployedModel deployed = DeployedModel::Deploy(model);
+TEST(FaultCampaignTest, GuardedPredictOnCleanDeploymentDoesNotFault) {
+  StatusOr<GuardedModel> guarded = GuardedModel::Create(TinyModel(5));
+  ASSERT_TRUE(guarded.ok()) << guarded.status().ToString();
   std::vector<int8_t> input(32, 3);
-  RecoveryReport rec = deployed.PredictWithRecovery(input);
+  const GuardedResult rec = guarded->Predict(input);
+  EXPECT_TRUE(rec.ok);
   EXPECT_FALSE(rec.faulted);
+  EXPECT_EQ(rec.resolved_by, RecoveryRung::kNone);
   EXPECT_TRUE(rec.corrupted_sections.empty());
   std::vector<int8_t> host;
-  model.Forward(input, host);
-  EXPECT_EQ(deployed.LastOutput(), host);
+  guarded->model().Forward(input, host);
+  EXPECT_EQ(guarded->deployed().LastOutput(), host);
   EXPECT_EQ(rec.prediction,
             static_cast<int>(std::max_element(host.begin(), host.end()) - host.begin()));
 }

@@ -21,7 +21,6 @@
 #include "src/obs/energy.h"
 #include "src/obs/json_reader.h"
 #include "src/obs/json_writer.h"
-#include "src/obs/metrics.h"
 #include "src/obs/registry.h"
 #include "src/obs/sim_profiler.h"
 #include "tests/test_util.h"
@@ -456,37 +455,6 @@ TEST(TraceTest, DisabledRecorderRecordsNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics logger
-// ---------------------------------------------------------------------------
-
-TEST(MetricsLoggerTest, WritesOneWellFormedJsonObjectPerLine) {
-  const std::string path = ::testing::TempDir() + "/neuroc_metrics_test.jsonl";
-  std::remove(path.c_str());
-  {
-    MetricsLogger logger(path);
-    ASSERT_TRUE(logger.ok());
-    logger.Log({{"epoch", 1}, {"loss", 0.75}, {"note", std::string_view("first")}});
-    logger.Log({{"epoch", 2}, {"loss", 0.5}});
-  }
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_TRUE(JsonChecker(line).Valid()) << line;
-    EXPECT_EQ(line.front(), '{');
-  }
-  EXPECT_EQ(lines, 2);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsLoggerTest, EmptyPathIsNoOp) {
-  MetricsLogger logger("");
-  EXPECT_FALSE(logger.ok());
-  logger.Log({{"epoch", 1}});  // must not crash
-}
-
-// ---------------------------------------------------------------------------
 // Block-granular profiler: the fast-path attribution must be bit-identical to the
 // step-interpreter probe (the tentpole invariant of the observability PR).
 // ---------------------------------------------------------------------------
@@ -546,22 +514,33 @@ TEST(BlockProfilerTest, AttributionMatchesStepProbeAcrossEncodings) {
   }
 }
 
-TEST(BlockProfilerTest, ProfileModesAgreeExceptProvenance) {
+TEST(BlockProfilerTest, DetailedProfileMatchesStepProbe) {
+  // ProfileInferenceDetailed has one backend (block counters); the step probe on a second
+  // deployment of the same model is its independent reference for the same zero input.
   NeuroCModel model = MakeSmallModel(22);
   DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-  const InferenceProfile cached = ProfileInferenceDetailed(deployed, 64, ProfileMode::kCached);
-  const InferenceProfile block = ProfileInferenceDetailed(deployed, 64, ProfileMode::kBlock);
+  const InferenceProfile block = ProfileInferenceDetailed(deployed, 64);
 
-  EXPECT_EQ(cached.mode, ProfileMode::kCached);
-  EXPECT_EQ(block.mode, ProfileMode::kBlock);
-  EXPECT_EQ(cached.attribution.source, kProfileSourceStepProbe);
+  DeployedModel stepped = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
+  stepped.machine().cpu().ResetCounters();
+  SimProfiler step_profiler;
+  {
+    ScopedCpuProbe attach(stepped.machine().cpu(), &step_profiler);
+    stepped.Predict(std::vector<int8_t>(stepped.input_dim(), 0));
+  }
+  const PcProfile& step = step_profiler.profile();
+
   EXPECT_EQ(block.attribution.source, kProfileSourceBlockCounters);
-
+  EXPECT_EQ(step.source, kProfileSourceStepProbe);
   // The execution path changes how fast the host simulates, never what is simulated.
-  EXPECT_EQ(cached.summary.cycles, block.summary.cycles);
-  EXPECT_EQ(cached.summary.instructions, block.summary.instructions);
-  ExpectProfilesBitIdentical(block.attribution, cached.attribution);
-  EXPECT_DOUBLE_EQ(block.energy.total_pj, cached.energy.total_pj);
+  EXPECT_EQ(block.summary.cycles, step.total_cycles);
+  EXPECT_EQ(block.summary.instructions, step.total_instructions);
+  ExpectProfilesBitIdentical(block.attribution, step);
+  // Energy is a function of the attribution and these access counts.
+  const MemAccessStats& mem = stepped.machine().memory().stats();
+  EXPECT_EQ(block.summary.flash_reads, mem.flash_reads);
+  EXPECT_EQ(block.summary.sram_reads, mem.sram_reads);
+  EXPECT_EQ(block.summary.sram_writes, mem.sram_writes);
 }
 
 TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
@@ -592,42 +571,19 @@ TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Profile modes and the SRAM headroom knob
+// Profile JSON provenance
 // ---------------------------------------------------------------------------
 
-TEST(ProfileModeTest, ParseAcceptsExactlyTheDocumentedNames) {
-  ProfileMode mode = ProfileMode::kBlock;
-  EXPECT_TRUE(ParseProfileMode("cached", &mode));
-  EXPECT_EQ(mode, ProfileMode::kCached);
-  EXPECT_TRUE(ParseProfileMode("block", &mode));
-  EXPECT_EQ(mode, ProfileMode::kBlock);
-  EXPECT_FALSE(ParseProfileMode("legacy", &mode));
-  EXPECT_FALSE(ParseProfileMode("turbo", &mode));
-  EXPECT_FALSE(ParseProfileMode("", &mode));
-  EXPECT_EQ(mode, ProfileMode::kBlock);  // untouched on failure
-
-  EXPECT_STREQ(ProfileModeName(ProfileMode::kCached), "cached");
-  EXPECT_STREQ(ProfileModeName(ProfileMode::kBlock), "block");
-}
-
-TEST(ProfileModeTest, StackHeadroomWarnDefaultsTo256Bytes) {
-  // NEUROC_SRAM_HEADROOM is not set in the test environment, so the documented default
-  // applies (the parse is cached process-wide, so overriding it here would be racy).
-  EXPECT_EQ(StackHeadroomWarnBytes(), 256u);
-}
-
-TEST(ProfileModeTest, ProfileJsonRecordsModeAndProfilerProvenance) {
+TEST(ProfileJsonTest, RecordsProfilerProvenanceAndHeadroomThreshold) {
   NeuroCModel model = MakeSmallModel(24);
   DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-  const InferenceProfile profile =
-      ProfileInferenceDetailed(deployed, 64, ProfileMode::kBlock);
+  const InferenceProfile profile = ProfileInferenceDetailed(deployed, 64);
   JsonWriter w;
   WriteInferenceProfileJson(w, profile, deployed);
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(w.str(), &doc, &error)) << error;
-  ASSERT_NE(doc.Find("mode"), nullptr);
-  EXPECT_EQ(doc.Find("mode")->text, "block");
+  EXPECT_EQ(doc.Find("mode"), nullptr);  // one backend: nothing to select
   ASSERT_NE(doc.Find("profiler"), nullptr);
   EXPECT_EQ(doc.Find("profiler")->text, kProfileSourceBlockCounters);
   ASSERT_NE(doc.FindPath("energy.total_pj"), nullptr);
@@ -801,7 +757,7 @@ TEST(JsonReaderTest, RoundTripsJsonWriterOutput) {
   JsonValue doc;
   std::string error;
   ASSERT_TRUE(ParseJson(json, &doc, &error)) << error;
-  EXPECT_EQ(doc.Find("schema")->text, "neuroc.profile.v2");
+  EXPECT_EQ(doc.Find("schema")->text, "neuroc.profile.v3");
   ASSERT_NE(doc.FindPath("summary.cycles"), nullptr);
   EXPECT_GT(doc.FindPath("summary.cycles")->AsDouble(), 0.0);
 }

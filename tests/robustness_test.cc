@@ -10,6 +10,7 @@
 #include "src/isa/assembler.h"
 #include "src/kernels/kernel_set.h"
 #include "src/runtime/deployed_model.h"
+#include "src/runtime/recovery.h"
 #include "tests/test_util.h"
 
 namespace neuroc {
@@ -27,30 +28,29 @@ NeuroCModel SmallModel(uint64_t seed) {
 TEST(FaultInjectionTest, CorruptedKernelCodeReturnsStructuredFault) {
   // Overwrite the kernel's first instructions with a value that decodes to UDF: execution
   // must surface a structured fault report, not return garbage.
-  NeuroCModel model = SmallModel(1);
-  DeployedModel deployed = DeployedModel::Deploy(model);
+  StatusOr<GuardedModel> guarded = GuardedModel::Create(SmallModel(1));
+  ASSERT_TRUE(guarded.ok()) << guarded.status().ToString();
   const uint8_t udf[2] = {0x00, 0xDE};  // udf #0
-  deployed.machine().LoadBytes(kFlash, udf);
+  guarded->deployed().machine().LoadBytes(kFlash, udf);
   std::vector<int8_t> input(64, 1);
-  StatusOr<int> pred = deployed.TryPredict(input);
-  ASSERT_FALSE(pred.ok());
-  ASSERT_NE(pred.status().fault(), nullptr);
-  const FaultReport& fault = *pred.status().fault();
-  EXPECT_EQ(fault.code, ErrorCode::kUndefinedInstruction);
-  EXPECT_EQ(fault.instruction, 0xDE00u);
-  EXPECT_NE(fault.message.find("undefined instruction"), std::string::npos);
+  const GuardedResult rec = guarded->Predict(input);
+  ASSERT_TRUE(rec.faulted);
+  EXPECT_EQ(rec.first_fault.code, ErrorCode::kUndefinedInstruction);
+  EXPECT_EQ(rec.first_fault.instruction, 0xDE00u);
+  EXPECT_NE(rec.first_fault.message.find("undefined instruction"), std::string::npos);
   // The integrity layer attributes the corruption to the kernel section…
-  const std::vector<std::string> bad = deployed.CorruptedSections();
-  ASSERT_FALSE(bad.empty());
-  EXPECT_EQ(bad[0], "kernel_code");
-  // …and scrub-and-retry produces a clean prediction that matches the host reference.
-  RecoveryReport rec = deployed.PredictWithRecovery(input);
-  EXPECT_TRUE(rec.faulted);  // still corrupted on entry: first attempt faults again
-  EXPECT_TRUE(rec.recovered);
+  ASSERT_FALSE(rec.corrupted_sections.empty());
+  EXPECT_EQ(rec.corrupted_sections[0], "kernel_code");
+  // …the snapshot rung (SRAM + registers only) cannot fix flash, so the scrub rung
+  // does, and its retry matches the host reference.
+  EXPECT_TRUE(rec.ok);
+  EXPECT_EQ(rec.resolved_by, RecoveryRung::kScrubRetry);
   std::vector<int8_t> host;
-  model.Forward(input, host);
-  EXPECT_EQ(deployed.LastOutput(), host);
-  EXPECT_TRUE(deployed.VerifyIntegrity().ok());
+  guarded->model().Forward(input, host);
+  EXPECT_EQ(guarded->deployed().LastOutput(), host);
+  EXPECT_EQ(rec.prediction,
+            static_cast<int>(std::max_element(host.begin(), host.end()) - host.begin()));
+  EXPECT_TRUE(guarded->deployed().VerifyIntegrity().ok());
 }
 
 TEST(FaultInjectionTest, DescriptorPointingOutsideMemoryFaults) {

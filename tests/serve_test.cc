@@ -604,5 +604,61 @@ TEST(ServeLoadGenTest, ClosedLoopChecksumIsClientCountInvariant) {
   EXPECT_EQ(one.total_energy_pj, four.total_energy_pj);
 }
 
+TEST(ServeLoadGenTest, OpenLoopAnswersTheSameStreamAsClosedLoop) {
+  LoadGenConfig lg;
+  lg.models = {"m1", "m2"};
+  lg.tenants = {"a", "b"};
+  lg.input_dim = kInDim;
+  lg.total_requests = 32;
+  lg.checksum_prefix = 32;
+  lg.clients = 1;
+  lg.offered_qps = 20000.0;
+
+  const auto run = [&](bool open_loop) {
+    ServeConfig cfg;
+    cfg.max_batch = 4;
+    InferenceService service(cfg, TestLoader({{"m1", 91}, {"m2", 92}}));
+    service.Start();
+    const LoadGenReport report =
+        open_loop ? RunOpenLoop(service, lg) : RunClosedLoop(service, lg);
+    service.Stop();
+    return report;
+  };
+
+  const LoadGenReport closed = run(false);
+  const LoadGenReport open = run(true);
+  EXPECT_EQ(open.completed, lg.total_requests);
+  EXPECT_EQ(open.failed, 0u);
+  // Same request stream, same payloads, whatever the arrival process.
+  EXPECT_EQ(open.checksum, closed.checksum);
+  EXPECT_EQ(open.total_cycles, closed.total_cycles);
+  EXPECT_LE(open.p50_ms, open.p99_ms);
+  EXPECT_LE(open.p99_ms, open.wall_ms);
+}
+
+TEST(ServeLoadGenTest, OpenLoopLatencyCountsFromScheduleWhenGeneratorLags) {
+  // Every request is due at once (1e9 req/s), and each one takes the generator about a
+  // millisecond to build (a 256 KiB input), so the generator falls further behind its
+  // schedule with every request. The service answers each at once with an input-size
+  // error. Measured from the schedule, the last requests waited for the generator about
+  // the whole run; measured from their late submit, they would read near zero.
+  LoadGenConfig lg;
+  lg.models = {"m1"};
+  lg.tenants = {"a"};
+  lg.input_dim = 256 * 1024;
+  lg.total_requests = 16;
+  lg.offered_qps = 1e9;
+  ServeConfig cfg;
+  cfg.max_batch = 4;
+  InferenceService service(cfg, TestLoader({{"m1", 93}}));
+  service.Start();
+  const LoadGenReport open = RunOpenLoop(service, lg);
+  service.Stop();
+  EXPECT_EQ(open.completed, lg.total_requests);
+  EXPECT_EQ(open.failed, lg.total_requests);  // wrong input size, by construction
+  EXPECT_LE(open.p99_ms, open.wall_ms);
+  EXPECT_GE(open.p99_ms, 0.5 * open.wall_ms);
+}
+
 }  // namespace
 }  // namespace neuroc

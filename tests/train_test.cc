@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/data/synth.h"
+#include "src/obs/registry.h"
 #include "src/tensor/matrix_ops.h"
 #include "src/train/layers.h"
 #include "src/train/loss.h"
@@ -474,6 +475,51 @@ TEST(TrainerTest, LossDecreasesDuringTraining) {
   cfg.batch_size = 32;
   TrainResult result = Train(net, train, test, cfg);
   EXPECT_LT(result.history.back().train_loss, result.history.front().train_loss);
+}
+
+TEST(TrainerTest, EpochMetricsLandInRegistry) {
+  // Every epoch publishes its EpochStats to the global registry: gauges carry the latest
+  // epoch bit-exactly, histograms gain one observation per epoch.
+  Dataset all = MakeDigits8x8(300, 47);
+  Rng rng(9);
+  auto [train, test] = all.Split(0.2, rng);
+  NeuroCSpec spec;
+  spec.hidden = {16};
+  Network net = BuildNeuroC(64, 10, spec, rng);
+  TrainConfig cfg;
+  cfg.epochs = 3;
+  cfg.batch_size = 32;
+  cfg.learning_rate = 2e-3f;
+  cfg.lr_decay = 0.5f;
+
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const uint64_t epoch_ms_before = reg.GetHistogram("train.epoch_ms").snapshot().count;
+  const uint64_t rate_before = reg.GetHistogram("train.examples_per_sec").snapshot().count;
+  const uint64_t epochs_before = reg.GetCounter("train.epochs").value();
+  const uint64_t runs_before = reg.GetCounter("train.runs").value();
+  const TrainResult result = Train(net, train, test, cfg);
+  ASSERT_EQ(result.history.size(), 3u);
+  const EpochStats& last = result.history.back();
+
+  EXPECT_EQ(reg.GetHistogram("train.epoch_ms").snapshot().count, epoch_ms_before + 3);
+  EXPECT_EQ(reg.GetHistogram("train.examples_per_sec").snapshot().count, rate_before + 3);
+  EXPECT_EQ(reg.GetCounter("train.epochs").value(), epochs_before + 3);
+  EXPECT_EQ(reg.GetCounter("train.runs").value(), runs_before + 1);
+  EXPECT_EQ(reg.GetGauge("train.loss").value(), static_cast<double>(last.train_loss));
+  EXPECT_EQ(reg.GetGauge("train.train_accuracy").value(),
+            static_cast<double>(last.train_accuracy));
+  EXPECT_EQ(reg.GetGauge("train.test_accuracy").value(),
+            static_cast<double>(last.test_accuracy));
+  EXPECT_EQ(reg.GetGauge("train.ternary_density").value(),
+            static_cast<double>(last.ternary_density));
+  EXPECT_GT(last.ternary_density, 0.0f);
+  // The learning rate the last epoch ran at: two decays applied in float.
+  float lr = cfg.learning_rate;
+  lr *= cfg.lr_decay;
+  lr *= cfg.lr_decay;
+  EXPECT_EQ(reg.GetGauge("train.learning_rate").value(), static_cast<double>(lr));
+  EXPECT_EQ(reg.GetGauge("train.final_test_accuracy").value(),
+            static_cast<double>(result.final_test_accuracy));
 }
 
 TEST(NetworkTest, SummaryAndParamCollection) {

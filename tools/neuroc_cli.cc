@@ -1,13 +1,15 @@
 // `neuroc` — command-line front end for the library. Subcommands:
 //
 //   neuroc train   --dataset <name> [--hidden 128,64] [--density 0.12] [--epochs 8]
-//                  [--tnn] [--seed N] [--metrics out.jsonl] --out model.ncm
+//                  [--tnn] [--seed N] [--trace out.trace] --out model.ncm
 //   neuroc eval    --model model.ncm --dataset <name> [--seed N]
 //   neuroc inspect --model model.ncm
 //   neuroc bench   --model model.ncm [--platform STM32F072RB]
 //   neuroc profile --model model.ncm [--platform STM32F072RB] [--json out.json]
-//                  [--trace out.trace] [--asm] [--mode cached|block]
+//                  [--trace out.trace] [--asm]
+//                  [--encoding csc|delta|mixed|block|unrolled]
 //   neuroc deploy  --model model.ncm --format c|hex --out <path> [--prefix name]
+//                  [--encoding csc|delta|mixed|block|unrolled]
 //   neuroc faultcampaign [--trials N] [--seed N] [--fault bitflip|multibit|stuck0|stuck1]
 //                  [--bits N] [--trigger pre|mid] [--regions a,b,..] [--encodings a,b,..]
 //                  [--no-retry] [--no-snapshot-retry] [--no-redeploy] [--no-watchdog]
@@ -19,8 +21,10 @@
 //   neuroc report  --in runs.jsonl [--json out.json]
 //
 // Every subcommand also accepts --metrics-out <runs.jsonl>: on exit it appends one
-// metrics-registry run record (counters/gauges/histograms from this invocation) that
-// `neuroc report` aggregates. Options may be spelled `--key value` or `--key=value`.
+// metrics-registry run record (counters/gauges/histograms from this invocation, including
+// train's per-epoch train.* gauges and histograms) that `neuroc report` aggregates.
+// Options may be spelled `--key value` or `--key=value`; a flag the subcommand does not
+// read exits 2 before it runs.
 //
 // Datasets: digits, mnist, fashion, cifar5, events (procedural; see src/data/synth.h).
 
@@ -40,7 +44,6 @@
 #include "src/data/synth.h"
 #include "src/obs/json_reader.h"
 #include "src/obs/json_writer.h"
-#include "src/obs/metrics.h"
 #include "src/obs/registry.h"
 #include "src/obs/trace.h"
 #include "src/runtime/c_emitter.h"
@@ -75,12 +78,12 @@ int Usage() {
                " [options]\n"
                "  train   --dataset <digits|mnist|fashion|cifar5|events> --out model.ncm\n"
                "          [--hidden 128,64] [--density 0.12] [--epochs 8] [--tnn] [--seed N]\n"
-               "          [--metrics out.jsonl]\n"
+               "          [--trace out.trace]\n"
                "  eval    --model model.ncm --dataset <name> [--seed N]\n"
                "  inspect --model model.ncm\n"
                "  bench   --model model.ncm [--platform STM32F072RB]\n"
                "  profile --model model.ncm [--platform STM32F072RB] [--json out.json]\n"
-               "          [--trace out.trace] [--asm] [--mode <cached|block>]\n"
+               "          [--trace out.trace] [--asm]\n"
                "          [--encoding <csc|delta|mixed|block|unrolled>]\n"
                "  deploy  --model model.ncm --format <c|hex> --out <path> [--prefix name]\n"
                "          [--encoding <csc|delta|mixed|block|unrolled>]\n"
@@ -157,11 +160,6 @@ int CmdTrain(const Args& args) {
   cfg.learning_rate = 2e-3f;
   cfg.lr_decay = 0.9f;
   cfg.verbose = true;
-  MetricsLogger metrics(args.Get("metrics", ""));
-  if (metrics.ok()) {
-    cfg.metrics = &metrics;
-    std::printf("streaming per-epoch metrics to %s\n", metrics.path().c_str());
-  }
   if (args.Has("trace")) {
     TraceRecorder::Global().set_enabled(true);
     TraceRecorder::Global().Start();
@@ -297,12 +295,6 @@ int CmdProfile(const Args& args) {
   const size_t bytes = DeployedModel::EstimateProgramBytes(*model);
   std::printf("platform: %s (%s @ %.0f MHz, %u KB flash)\n", platform.name.c_str(),
               platform.core.c_str(), platform.clock_hz / 1e6, platform.flash_bytes / 1024);
-  ProfileMode mode = ProfileMode::kBlock;
-  if (args.Has("mode") && !ParseProfileMode(args.Get("mode"), &mode)) {
-    std::fprintf(stderr, "unknown profile mode: %s (cached|block)\n",
-                 args.Get("mode"));
-    return 2;
-  }
   // Oversized models fall back to the fastest encoding that fits (unrolled kernels are
   // the usual reason: they trade flash for cycles).
   DeployFallbackReport fallback;
@@ -319,7 +311,7 @@ int CmdProfile(const Args& args) {
                 EncodingKindName(fallback.selected), fallback.selected_bytes);
   }
   DeployedModel deployed = std::move(*deployed_or);
-  const InferenceProfile profile = ProfileInferenceDetailed(deployed, 64, mode);
+  const InferenceProfile profile = ProfileInferenceDetailed(deployed);
   std::printf("latency: %.3f ms (%llu cycles)\n", deployed.report().latency_ms,
               static_cast<unsigned long long>(deployed.report().cycles_per_inference));
   std::printf("%s", FormatInferenceProfile(profile, deployed, args.Has("asm")).c_str());
@@ -770,6 +762,31 @@ int CmdReport(const Args& args) {
   return 0;
 }
 
+// Each verb with the flags it reads; --metrics-out is accepted everywhere (see Main).
+struct Verb {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const Verb kVerbs[] = {
+    {"train", CmdTrain,
+     {"dataset", "out", "hidden", "density", "epochs", "tnn", "seed", "trace"}},
+    {"eval", CmdEval, {"model", "dataset", "seed"}},
+    {"inspect", CmdInspect, {"model"}},
+    {"bench", CmdBench, {"model", "platform"}},
+    {"profile", CmdProfile, {"model", "platform", "json", "trace", "asm", "encoding"}},
+    {"deploy", CmdDeploy, {"model", "format", "out", "prefix", "encoding"}},
+    {"faultcampaign", CmdFaultCampaign,
+     {"trials", "seed", "fault", "bits", "trigger", "regions", "encodings", "no-retry",
+      "no-snapshot-retry", "no-redeploy", "no-watchdog", "dual-run", "json", "smoke"}},
+    {"fuzz", CmdFuzz,
+     {"oracle", "seed", "cases", "json", "corpus-dir", "no-minimize", "replay", "case-seed",
+      "smoke"}},
+    {"serve", CmdServe, {"models", "port", "max-batch", "cache", "queue"}},
+    {"report", CmdReport, {"in", "json"}},
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
@@ -790,30 +807,20 @@ int Main(int argc, char** argv) {
       args.options[key] = "";  // boolean flag
     }
   }
-  int rc = -1;
-  if (args.command == "train") {
-    rc = CmdTrain(args);
-  } else if (args.command == "eval") {
-    rc = CmdEval(args);
-  } else if (args.command == "inspect") {
-    rc = CmdInspect(args);
-  } else if (args.command == "bench") {
-    rc = CmdBench(args);
-  } else if (args.command == "profile") {
-    rc = CmdProfile(args);
-  } else if (args.command == "deploy") {
-    rc = CmdDeploy(args);
-  } else if (args.command == "faultcampaign") {
-    rc = CmdFaultCampaign(args);
-  } else if (args.command == "fuzz") {
-    rc = CmdFuzz(args);
-  } else if (args.command == "serve") {
-    rc = CmdServe(args);
-  } else if (args.command == "report") {
-    rc = CmdReport(args);
-  } else {
+  const Verb* verb = std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                                  [&](const Verb& v) { return args.command == v.name; });
+  if (verb == std::end(kVerbs)) {
     return Usage();
   }
+  // A misspelt or retired flag must not be silently ignored by a verb that never reads it.
+  for (const auto& [key, value] : args.options) {
+    if (key != "metrics-out" &&
+        std::find(verb->flags.begin(), verb->flags.end(), key) == verb->flags.end()) {
+      std::fprintf(stderr, "unknown flag --%s for %s\n", key.c_str(), verb->name);
+      return 2;
+    }
+  }
+  const int rc = verb->run(args);
   // Structured observability export: one registry run record per invocation, appended so
   // multi-command pipelines build a stream `neuroc report` can aggregate.
   if (args.Has("metrics-out") && *args.Get("metrics-out") != '\0') {
