@@ -132,6 +132,30 @@ void BM_AssembleUnrolledCodegen(benchmark::State& state) {
 }
 BENCHMARK(BM_AssembleUnrolledCodegen)->Arg(1024)->Arg(4096)->Arg(16384);
 
+// The deploy path for the same kernels: the body walk encoded straight to halfwords, with
+// only the prologue/epilogue scaffold assembled from text. Items are the instructions of
+// the equivalent listing, so items/second compares directly with the case above.
+void BM_EmitUnrolled(benchmark::State& state) {
+  const size_t in_dim = static_cast<size_t>(state.range(0));
+  Rng rng(11);
+  const TernaryMatrix m = TernaryMatrix::Random(in_dim, 64, 0.05, rng);
+  const UnrolledEncoding enc(m);
+  KernelVariant v;
+  v.kind = EncodingKind::kUnrolled;
+  v.unrolled_layer = 0;
+  const std::string src = GenerateUnrolledKernelSource(v, enc);
+  const int64_t lines = std::count(src.begin(), src.end(), '\n');
+  for (auto _ : state) {
+    AssembledProgram p;
+    p.base_addr = 0x08000000;
+    AppendUnrolledKernel(v, enc, p);
+    benchmark::DoNotOptimize(p.bytes.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * lines);
+  state.counters["source_lines"] = static_cast<double>(lines);
+}
+BENCHMARK(BM_EmitUnrolled)->Arg(1024)->Arg(4096)->Arg(16384);
+
 }  // namespace
 }  // namespace neuroc
 

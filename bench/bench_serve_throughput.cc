@@ -9,15 +9,26 @@
 // 1-client/1-thread and 4-client/4-thread closed-loop points must produce identical
 // checksums, cycles and energy, and every open-loop point must match them too.
 // Host-varying metrics: p50/p99/mean latency, wall time, achieved throughput — compared
-// loosely (warn-only under the CI smoke gate; this container is 1-core and noisy).
+// loosely (warn-only under the CI smoke gate; this container is 1-core and noisy). Each
+// point starts with one unmeasured request per model, so the measured stream sees a warm
+// cache and the latency keys describe serving, not model loading.
 //
-// `--smoke` shrinks the request count per point; the deterministic keys are normalized
-// per-request (and the checksum prefix is fixed), so they are byte-identical between a
-// smoke run and the committed full run — only the structure and the deterministic values
-// are gated across modes.
+// Cold loads are measured on their own: `cold_load` has one row per encoding for a
+// 784-128-10 model at density 0.12 (the costliest miss in the serving-churn catalogue),
+// timing .ncm parse, deploy (codegen + encode + load), the watchdog calibration run, and
+// a whole ModelCache miss. Code bytes, cycles and energy per inference are hard-gated.
+//
+// `--smoke` trims only the cold-load repetitions. Every serving point sends the same
+// request count in both modes, so wall and rate keys measure the same work as the
+// committed baseline and the soft gate can flag a real regression; the deterministic keys
+// are normalized per request (and the checksum prefix is fixed) as well.
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,9 +36,13 @@
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/core/model_serde.h"
 #include "src/core/synthetic.h"
 #include "src/obs/json_writer.h"
+#include "src/runtime/profile.h"
+#include "src/runtime/recovery.h"
 #include "src/serve/load_gen.h"
+#include "src/serve/model_cache.h"
 #include "src/serve/service.h"
 
 namespace neuroc {
@@ -87,7 +102,7 @@ LoadGenConfig BaseConfig(size_t total_requests) {
 }
 
 // Fresh service per point: queue depth, cache state and dispatcher cadence start
-// identically for every sweep point.
+// identically for every sweep point. One unmeasured request per model warms the cache.
 LoadGenReport RunPoint(const LoadGenConfig& cfg, size_t host_threads, bool open_loop) {
   ThreadPool::SetGlobalThreads(host_threads);
   ServeConfig serve_cfg;
@@ -95,6 +110,19 @@ LoadGenReport RunPoint(const LoadGenConfig& cfg, size_t host_threads, bool open_
   serve_cfg.cache_capacity = 4;
   InferenceService service(serve_cfg, BenchLoader());
   service.Start();
+  for (const std::string& model : cfg.models) {
+    ServeRequest warm;
+    warm.request_id = ~uint64_t{0};
+    warm.tenant = cfg.tenants.front();
+    warm.model = model;
+    warm.input.assign(cfg.input_dim, 0);
+    std::promise<void> answered;
+    service.Submit(std::move(warm), [&](const ServeResponse& r) {
+      NEUROC_CHECK(r.ok());
+      answered.set_value();
+    });
+    answered.get_future().wait();
+  }
   const LoadGenReport report =
       open_loop ? RunOpenLoop(service, cfg) : RunClosedLoop(service, cfg);
   service.Stop();
@@ -124,6 +152,98 @@ void WritePointMetrics(JsonWriter& w, const Point& p) {
   w.Key("achieved_per_sec").ValueFixed(p.report.achieved_per_sec, 1);
 }
 
+// ---------------------------------------------------------------------------
+// Cold loads: the serving cache's miss path, stage by stage.
+// ---------------------------------------------------------------------------
+
+struct ColdLoad {
+  EncodingKind encoding = EncodingKind::kCsc;
+  size_t code_bytes = 0;
+  uint64_t cycles = 0;
+  uint64_t energy_pj = 0;
+  double load_ms = 0.0;       // .ncm bytes -> host model
+  double deploy_ms = 0.0;     // codegen + encode/assemble + image pack + machine load
+  double calibrate_ms = 0.0;  // the watchdog's golden run (also the energy proxy)
+  double total_ms = 0.0;      // one ModelCache miss, victim teardown included
+};
+
+NeuroCModel MakeColdLoadModel(EncodingKind encoding, uint64_t seed) {
+  Rng rng(seed);
+  SyntheticNeuroCLayerSpec l0;
+  l0.in_dim = 784;
+  l0.out_dim = 128;
+  l0.density = 0.12;
+  l0.encoding = encoding;
+  SyntheticNeuroCLayerSpec l1 = l0;
+  l1.in_dim = 128;
+  l1.out_dim = 10;
+  l1.relu = false;
+  std::vector<QuantNeuroCLayer> layers;
+  layers.push_back(MakeSyntheticNeuroCLayer(l0, rng));
+  layers.push_back(MakeSyntheticNeuroCLayer(l1, rng));
+  return NeuroCModel::FromLayers(std::move(layers));
+}
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+ColdLoad MeasureColdLoad(EncodingKind encoding, int reps) {
+  // Two models of the same shape alternate through a one-entry cache, so every Acquire
+  // is a miss that also evicts the other.
+  const std::vector<uint8_t> ncm[2] = {SerializeModel(MakeColdLoadModel(encoding, 901)),
+                                       SerializeModel(MakeColdLoadModel(encoding, 902))};
+  ColdLoad out;
+  out.encoding = encoding;
+  std::vector<double> load, deploy, calibrate, total;
+  for (int rep = 0; rep < reps; ++rep) {
+    auto t = std::chrono::steady_clock::now();
+    StatusOr<NeuroCModel> model = DeserializeNeuroCModel(ncm[0]);
+    load.push_back(MsSince(t));
+    NEUROC_CHECK(model.ok());
+    t = std::chrono::steady_clock::now();
+    StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(*model);
+    deploy.push_back(MsSince(t));
+    NEUROC_CHECK(dm.ok());
+    ExecutionProfile golden;
+    t = std::chrono::steady_clock::now();
+    NEUROC_CHECK(dm->ArmWatchdog(8.0, &golden).ok());
+    calibrate.push_back(MsSince(t));
+    out.code_bytes = dm->report().code_bytes;
+    out.cycles = golden.cycles;
+    out.energy_pj = static_cast<uint64_t>(std::llround(EstimateEnergy(golden).total_pj));
+  }
+  ModelCacheConfig cache_cfg;
+  cache_cfg.capacity = 1;
+  ModelCache cache(cache_cfg, [&ncm](const std::string& name) {
+    return DeserializeNeuroCModel(ncm[name == "a" ? 0 : 1]);
+  });
+  for (int rep = 0; rep <= reps; ++rep) {
+    const auto t = std::chrono::steady_clock::now();
+    StatusOr<ModelCache::Entry*> entry = cache.Acquire(rep % 2 == 0 ? "a" : "b");
+    const double ms = MsSince(t);
+    NEUROC_CHECK(entry.ok());
+    if (rep % 2 == 0) {
+      NEUROC_CHECK((*entry)->energy_pj == out.energy_pj);
+    }
+    cache.Release(*entry);
+    if (rep > 0) {
+      total.push_back(ms);  // the first miss has no victim to tear down
+    }
+  }
+  out.load_ms = Median(load);
+  out.deploy_ms = Median(deploy);
+  out.calibrate_ms = Median(calibrate);
+  out.total_ms = Median(total);
+  return out;
+}
+
 }  // namespace
 }  // namespace neuroc
 
@@ -138,9 +258,10 @@ int main(int argc, char** argv) {
       out_path = argv[i];
     }
   }
-  // Even multiple of the model count, >= the checksum prefix, so the per-request
-  // deterministic keys and the checksum are identical across smoke and full runs.
-  const size_t total_requests = smoke ? 64 : 512;
+  // Even multiple of the model count, >= the checksum prefix, and the same in both modes:
+  // smoke runs trim only the cold-load repetitions.
+  const size_t total_requests = 512;
+  const int cold_load_reps = smoke ? 3 : 9;
 
   std::printf("serve throughput, 2 models (16-12-10 d0.3 / 16-20-10 d0.2), %zu req/point\n",
               total_requests);
@@ -172,6 +293,18 @@ int main(int argc, char** argv) {
   }
   ThreadPool::SetGlobalThreads(0);
 
+  std::vector<ColdLoad> cold;
+  std::printf("\ncold load, 784-128-10 d0.12, median of %d\n", cold_load_reps);
+  std::printf("%-9s %10s %10s %8s %10s %12s %9s\n", "encoding", "code_B", "cycles",
+              "load_ms", "deploy_ms", "calibrate_ms", "total_ms");
+  for (const EncodingKind encoding : kAllEncodingKinds) {
+    const ColdLoad c = MeasureColdLoad(encoding, cold_load_reps);
+    std::printf("%-9s %10zu %10llu %8.3f %10.3f %12.3f %9.3f\n", EncodingKindName(encoding),
+                c.code_bytes, static_cast<unsigned long long>(c.cycles), c.load_ms,
+                c.deploy_ms, c.calibrate_ms, c.total_ms);
+    cold.push_back(c);
+  }
+
   // The determinism contract, asserted in-binary: payloads (and therefore checksum,
   // cycles and energy) are pure functions of (request, model) — client count, worker
   // threads and offered rate must not leak into them.
@@ -196,6 +329,7 @@ int main(int argc, char** argv) {
   w.Key("smoke").Value(smoke ? 1 : 0);
   w.Key("reps").Value(static_cast<uint64_t>(total_requests));  // requests per point
   w.Key("checksum_prefix").Value(static_cast<uint64_t>(kChecksumPrefix));
+  w.Key("timing_reps").Value(static_cast<uint64_t>(cold_load_reps));  // cold-load medians
   w.Key("closed_loop").BeginArray();
   for (const Point& p : closed) {
     w.BeginObject();
@@ -214,6 +348,20 @@ int main(int argc, char** argv) {
     w.EndObject();
   }
   w.EndArray();
+  w.Key("cold_load").BeginArray();
+  for (const ColdLoad& c : cold) {
+    w.BeginObject();
+    w.Key("encoding").Value(EncodingKindName(c.encoding));
+    w.Key("code_bytes").Value(static_cast<uint64_t>(c.code_bytes));
+    w.Key("cycles_per_inference").Value(c.cycles);
+    w.Key("energy_pj").Value(c.energy_pj);
+    w.Key("load_ms").ValueFixed(c.load_ms, 3);
+    w.Key("deploy_ms").ValueFixed(c.deploy_ms, 3);
+    w.Key("calibrate_ms").ValueFixed(c.calibrate_ms, 3);
+    w.Key("total_ms").ValueFixed(c.total_ms, 3);
+    w.EndObject();
+  }
+  w.EndArray();
   w.Key("notes").BeginArray();
   w.Value(
       "response_checksum, cycles_per_request and energy_pj_per_request are asserted "
@@ -225,6 +373,10 @@ int main(int argc, char** argv) {
   w.Value(
       "checksum folds the encoded response payloads of request ids < checksum_prefix "
       "with an order-independent XOR, so any completion order matches");
+  w.Value(
+      "every point starts with one unmeasured request per model (warm cache); cold_load "
+      "rows time the miss path separately: load = .ncm parse, deploy = codegen + encode + "
+      "image load, calibrate = the one golden run, total = a whole ModelCache miss");
   w.EndArray();
   w.EndObject();
   benchutil::WriteBenchJson(out_path, w);

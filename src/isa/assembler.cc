@@ -326,7 +326,7 @@ Cond ParseCondSuffix(std::string_view suffix, int line_no) {
 class AssemblerImpl {
  public:
   AssemblerImpl(const std::string& source, uint32_t base_addr) : base_(base_addr) {
-    NEUROC_CHECK(base_addr % 4 == 0);
+    NEUROC_CHECK(base_addr % 2 == 0);
     ParseSource(source);
     LayoutPass();
     EmitPass();
@@ -462,25 +462,23 @@ class AssemblerImpl {
         const int n = s.operands.empty()
                           ? 2
                           : static_cast<int>(ParseNumber(s.operands[0], s.line_no));
-        const uint32_t align = 1u << n;
-        const uint32_t aligned = (offset + align - 1) & ~(align - 1);
-        item.size = aligned - offset;
+        item.size = AlignOffset(offset, 1u << n) - offset;
       } else if (s.mnemonic == ".word") {
         // .word data must be 4-aligned; insert implicit padding.
-        const uint32_t aligned = (offset + 3u) & ~3u;
-        item.size = static_cast<uint32_t>(aligned - offset + 4 * s.operands.size());
+        item.size =
+            static_cast<uint32_t>(AlignOffset(offset, 4) - offset + 4 * s.operands.size());
       } else if (s.mnemonic == ".half") {
-        const uint32_t aligned = (offset + 1u) & ~1u;
-        item.size = static_cast<uint32_t>(aligned - offset + 2 * s.operands.size());
+        item.size =
+            static_cast<uint32_t>(AlignOffset(offset, 2) - offset + 2 * s.operands.size());
       }
       item.offset = offset;
       for (const std::string_view label : item_labels_[i]) {
         // Labels bind to the aligned start of data for .word/.half.
         uint32_t label_off = offset;
         if (s.mnemonic == ".word") {
-          label_off = (offset + 3u) & ~3u;
+          label_off = AlignOffset(offset, 4);
         } else if (s.mnemonic == ".half") {
-          label_off = (offset + 1u) & ~1u;
+          label_off = AlignOffset(offset, 2);
         }
         DefineSymbol(label, base_ + label_off, item.stmt.line_no);
       }
@@ -490,7 +488,7 @@ class AssemblerImpl {
     if (pool_.empty()) {
       total_size_ = offset;
     } else {
-      pool_base_ = (offset + 3u) & ~3u;
+      pool_base_ = AlignOffset(offset, 4);
       for (PoolEntry& e : pool_) {
         e.offset = pool_base_ + 4 * static_cast<uint32_t>(&e - pool_.data());
       }
@@ -499,6 +497,12 @@ class AssemblerImpl {
     for (const std::string_view label : trailing_labels_) {
       DefineSymbol(label, base_ + total_size_, 0);
     }
+  }
+
+  // `offset` rounded up so that base_ + offset is a multiple of `align` (a power of two):
+  // alignment is a property of the absolute address, whatever the base.
+  uint32_t AlignOffset(uint32_t offset, uint32_t align) const {
+    return ((base_ + offset + align - 1) & ~(align - 1)) - base_;
   }
 
   void DefineSymbol(std::string_view name, uint32_t addr, int line_no) {
@@ -561,7 +565,7 @@ class AssemblerImpl {
       return;  // padding already zeroed
     }
     if (m == ".word") {
-      uint32_t off = (item.offset + 3u) & ~3u;
+      uint32_t off = AlignOffset(item.offset, 4);
       for (const std::string_view op : s.operands) {
         Put32(off, Resolve(ParseValueRef(op, ln), ln));
         off += 4;
@@ -569,7 +573,7 @@ class AssemblerImpl {
       return;
     }
     if (m == ".half") {
-      uint32_t off = (item.offset + 1u) & ~1u;
+      uint32_t off = AlignOffset(item.offset, 2);
       for (const std::string_view op : s.operands) {
         Put16(off, static_cast<uint16_t>(ParseNumber(op, ln)));
         off += 2;
@@ -954,6 +958,14 @@ class AssemblerImpl {
 AssembledProgram Assemble(const std::string& source, uint32_t base_addr) {
   AssemblerImpl impl(source, base_addr);
   return impl.Take();
+}
+
+void AssembleAppend(const std::string& source, AssembledProgram& program) {
+  AssembledProgram piece =
+      Assemble(source, program.base_addr + static_cast<uint32_t>(program.bytes.size()));
+  program.bytes.insert(program.bytes.end(), piece.bytes.begin(), piece.bytes.end());
+  program.symbols.merge(piece.symbols);
+  NEUROC_CHECK_MSG(piece.symbols.empty(), "duplicate label across appended pieces");
 }
 
 }  // namespace neuroc

@@ -56,8 +56,16 @@ class SymbolTable {
   std::vector<Entry> entries_;
 };
 
-// Assembles `source` for load address `base_addr` (must be 4-aligned).
+// Assembles `source` for load address `base_addr` (halfword-aligned). `.align`, `.word`
+// and literal-pool placement align by absolute address, so the result does not depend on
+// how the base itself is aligned.
 AssembledProgram Assemble(const std::string& source, uint32_t base_addr);
+
+// Assembles `source` at the end of `program` (address base_addr + size()) and merges its
+// symbols in; a label `program` already defines is an error. Appending kernels one by one
+// gives the same bytes and symbols as assembling their concatenated source once, provided
+// no piece refers to another's labels or keeps a literal pool (`ldr rX, =...`).
+void AssembleAppend(const std::string& source, AssembledProgram& program);
 
 }  // namespace neuroc
 

@@ -15,7 +15,10 @@ KernelSet KernelSet::Build(std::span<const KernelVariant> variants, uint32_t bas
       set.variants_.push_back(v);
     }
   }
-  std::string source;
+  // Kernels are self-contained (labels prefixed by the kernel name, no literal pools), so
+  // appending them one by one lays out exactly what one concatenated source would.
+  AssembledProgram& program = set.program_;
+  program.base_addr = base_addr;
   for (const KernelVariant& v : set.variants_) {
     if (!v.is_dense && v.kind == EncodingKind::kUnrolled) {
       NEUROC_CHECK_MSG(model != nullptr, "kUnrolled kernel generation needs the model");
@@ -23,19 +26,17 @@ KernelSet KernelSet::Build(std::span<const KernelVariant> variants, uint32_t bas
                    static_cast<size_t>(v.unrolled_layer) < model->layers().size());
       const Encoding& enc = *model->layers()[v.unrolled_layer].encoding;
       NEUROC_CHECK(enc.kind() == EncodingKind::kUnrolled);
-      source += GenerateUnrolledKernelSource(v, static_cast<const UnrolledEncoding&>(enc));
+      AppendUnrolledKernel(v, static_cast<const UnrolledEncoding&>(enc), program);
     } else {
-      source += GenerateKernelSource(v);
+      AssembleAppend(GenerateKernelSource(v), program);
     }
-    source += "\n";
   }
   if (include_conv) {
-    source += GenerateConvKernelSource();
+    AssembleAppend(GenerateConvKernelSource(), program);
   }
-  if (source.empty()) {
-    source = "nop\n";  // empty set still assembles
+  if (program.bytes.empty()) {
+    AssembleAppend("nop\n", program);  // an empty set still has an entry
   }
-  set.program_ = Assemble(source, base_addr);
   return set;
 }
 

@@ -1,8 +1,12 @@
 #include "src/kernels/kernel_sources.h"
 
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/check.h"
+#include "src/isa/assembler.h"
+#include "src/isa/encoder.h"
 #include "src/kernels/conv_desc.h"
 
 namespace neuroc {
@@ -63,7 +67,11 @@ class AsmWriter {
  public:
   explicit AsmWriter(std::string prefix) : prefix_(std::move(prefix)) {}
 
-  void L(const std::string& line) { text_ += "    " + line + "\n"; }
+  void L(std::string_view line) {
+    text_ += "    ";
+    text_ += line;
+    text_ += '\n';
+  }
   void Label(const std::string& name) { text_ += name + ":\n"; }
   void Comment(const std::string& c) { text_ += "    @ " + c + "\n"; }
 
@@ -72,6 +80,9 @@ class AsmWriter {
   }
 
   const std::string& text() const { return text_; }
+  // Hands over the text written so far and starts an empty one; the label counter runs
+  // on, so pieces taken from one writer never reuse a label.
+  std::string TakeText() { return std::exchange(text_, std::string()); }
 
  private:
   std::string prefix_;
@@ -575,16 +586,73 @@ void EmitUnrolledOutro(AsmWriter& w, const std::string& epi_label, bool has_scal
   w.L("bx lr");
 }
 
-// Moves the walking input pointer in r1 by a signed byte delta, chunked into imm8 adds/subs
-// (mirrored exactly by UnrolledEncoding::RetargetInstrCount for the size model).
-void EmitRetarget(AsmWriter& w, int64_t delta) {
-  const char* op = delta < 0 ? "subs r1, " : "adds r1, ";
-  int64_t mag = delta < 0 ? -delta : delta;
-  while (mag > 0) {
-    const int step = mag > 255 ? 255 : static_cast<int>(mag);
-    w.L(op + Imm(step));
-    mag -= step;
+// The straight-line body of an unrolled kernel, as one walk over the frozen adjacency:
+// `on_column(j)` at the start of column j, then `emit(instr)` for every body instruction
+// in program order. The walking input pointer carries across columns: each element is
+// reached by a signed delta from the previous one (forward within a column, possibly
+// backward at a column boundary), chunked into imm8 adds/subs — mirrored exactly by
+// UnrolledEncoding::RetargetInstrCount for the size model. This is the inter-column
+// analogue of the delta format's pointer walk, with the offsets compiled into immediates
+// instead of fetched from flash. Each column ends in a `bl` to the shared epilogue whose
+// offset is left at 0: the text rendering names the label, the direct encoding patches
+// the offset once the epilogue is placed.
+template <typename ColumnFn, typename InstrFn>
+void WalkUnrolledBody(const UnrolledEncoding& enc, ColumnFn&& on_column, InstrFn&& emit) {
+  const Instr reset{.op = Op::kMovImm, .rd = 3};                    // movs r3, #0
+  const Instr load{.op = Op::kLdrsbReg, .rd = 5, .rn = 1, .rm = 0};  // ldrsb r5, [r1, r0]
+  const Instr add{.op = Op::kAddReg, .rd = 3, .rn = 3, .rm = 5};     // adds r3, r3, r5
+  const Instr sub{.op = Op::kSubReg, .rd = 3, .rn = 3, .rm = 5};     // subs r3, r3, r5
+  const Instr call{.op = Op::kBl, .length = 2};                      // bl <epilogue>
+  int64_t prev = 0;
+  for (size_t j = 0; j < enc.columns().size(); ++j) {
+    on_column(j);
+    emit(reset);
+    for (const UnrolledEncoding::Element& e : enc.columns()[j]) {
+      const int64_t delta = static_cast<int64_t>(e.index) - prev;
+      prev = e.index;
+      Instr step{.op = delta < 0 ? Op::kSubImm8 : Op::kAddImm8, .rd = 1};  // r1 += imm8
+      for (int64_t mag = delta < 0 ? -delta : delta; mag > 0; mag -= step.imm) {
+        step.imm = static_cast<int32_t>(mag > 255 ? 255 : mag);
+        emit(step);
+      }
+      emit(load);
+      emit(e.sign > 0 ? add : sub);
+    }
+    emit(call);
   }
+}
+
+// Assembly text for one instruction of the walk (the listing rendering), written into
+// `line` so a listing of 100k instructions reuses one buffer.
+void RenderBodyInstr(const Instr& in, const std::string& epi_label, std::string& line) {
+  line.clear();
+  switch (in.op) {
+    case Op::kMovImm:
+    case Op::kAddImm8:
+    case Op::kSubImm8:
+      line.append(in.op == Op::kMovImm ? "movs " : in.op == Op::kAddImm8 ? "adds " : "subs ");
+      line.append(RegName(in.rd)).append(", #").append(std::to_string(in.imm));
+      return;
+    case Op::kAddReg:
+    case Op::kSubReg:
+      line.append(in.op == Op::kAddReg ? "adds " : "subs ").append(RegName(in.rd));
+      line.append(", ").append(RegName(in.rn)).append(", ").append(RegName(in.rm));
+      return;
+    case Op::kLdrsbReg:
+      line.append("ldrsb ").append(RegName(in.rd)).append(", [").append(RegName(in.rn));
+      line.append(", ").append(RegName(in.rm)).append("]");
+      return;
+    case Op::kBl:
+      line.append("bl ").append(epi_label);
+      return;
+    default:
+      NEUROC_CHECK_MSG(false, "instruction outside the unrolled body walk");
+  }
+}
+
+void PutHalfword(std::vector<uint8_t>& bytes, size_t offset, uint16_t hw) {
+  bytes[offset] = static_cast<uint8_t>(hw & 0xFF);
+  bytes[offset + 1] = static_cast<uint8_t>(hw >> 8);
 }
 
 // Counts emitted instructions (every line except labels and comments). All fixed-part
@@ -700,24 +768,58 @@ std::string GenerateUnrolledKernelSource(const KernelVariant& v,
   const std::string epi = name + "_epi";
   w.Label(name);
   EmitUnrolledPrologue(w, v.has_scale);
-  // The walking pointer carries across columns: each element is reached by a signed delta
-  // from the previous element (forward within a column, possibly backward at a column
-  // boundary). This is the inter-column analogue of the delta format's pointer walk, with
-  // the offsets compiled into immediates instead of fetched from flash.
-  int64_t prev = 0;
-  for (size_t j = 0; j < enc.columns().size(); ++j) {
-    w.Comment("column " + std::to_string(j));
-    w.L("movs r3, #0");
-    for (const UnrolledEncoding::Element& e : enc.columns()[j]) {
-      EmitRetarget(w, static_cast<int64_t>(e.index) - prev);
-      prev = e.index;
-      w.L("ldrsb r5, [r1, r0]");
-      w.L(e.sign > 0 ? "adds r3, r3, r5" : "subs r3, r3, r5");
-    }
-    w.L("bl " + epi);
-  }
+  std::string line;
+  WalkUnrolledBody(
+      enc, [&](size_t j) { w.Comment("column " + std::to_string(j)); },
+      [&](const Instr& in) {
+        RenderBodyInstr(in, epi, line);
+        w.L(line);
+      });
   EmitUnrolledOutro(w, epi, v.has_scale);
   return w.text();
+}
+
+void AppendUnrolledKernel(const KernelVariant& v, const UnrolledEncoding& enc,
+                          AssembledProgram& program) {
+  NEUROC_CHECK(v.kind == EncodingKind::kUnrolled && !v.is_dense);
+  NEUROC_CHECK(v.unrolled_layer >= 0);
+  const std::string name = KernelFunctionName(v);
+  AsmWriter w(name);
+  const std::string epi = name + "_epi";
+  w.Label(name);
+  EmitUnrolledPrologue(w, v.has_scale);
+  AssembleAppend(w.TakeText(), program);
+
+  std::vector<uint8_t>& bytes = program.bytes;
+  bytes.reserve(bytes.size() + enc.Sizes().total());  // the body's exact size
+  std::vector<size_t> calls;  // byte offsets of the per-column `bl`s, patched below
+  WalkUnrolledBody(
+      enc, [](size_t) {},
+      [&](const Instr& in) {
+        if (in.op == Op::kBl) {
+          calls.push_back(bytes.size());
+          bytes.resize(bytes.size() + 4);
+          return;
+        }
+        uint16_t hw[2];
+        NEUROC_CHECK(EncodeInstr(in, hw) == 1);
+        bytes.resize(bytes.size() + 2);
+        PutHalfword(bytes, bytes.size() - 2, hw[0]);
+      });
+
+  EmitUnrolledOutro(w, epi, v.has_scale);
+  AssembleAppend(w.TakeText(), program);
+  const uint32_t epi_addr = program.SymbolAddr(epi);
+  for (const size_t offset : calls) {
+    const uint32_t pc = program.base_addr + static_cast<uint32_t>(offset);
+    const Instr call{.op = Op::kBl,
+                     .imm = static_cast<int32_t>(epi_addr) - static_cast<int32_t>(pc + 4),
+                     .length = 2};
+    uint16_t hw[2];
+    NEUROC_CHECK(EncodeInstr(call, hw) == 2);
+    PutHalfword(bytes, offset, hw[0]);
+    PutHalfword(bytes, offset + 2, hw[1]);
+  }
 }
 
 size_t UnrolledKernelFixedBytes(bool has_scale) {

@@ -18,6 +18,7 @@
 
 #include "src/core/model_image.h"
 #include "src/core/unrolled_encoding.h"
+#include "src/isa/assembler.h"
 
 namespace neuroc {
 
@@ -36,8 +37,17 @@ std::string GenerateKernelSource(const KernelVariant& variant);
 // operand offsets resolved here at generation time), and a `bl` into a shared
 // scale/bias/requant/ReLU epilogue. Zero index decoding at runtime; the flash cost is the
 // kernel text itself (UnrolledEncoding::Sizes() models the marginal bytes exactly).
+//
+// The body is one walk over the adjacency with two renderings. GenerateUnrolledKernelSource
+// renders it as assembly text (the listing, and the differential oracle for the encoder);
+// AppendUnrolledKernel encodes the same instructions straight to Thumb halfwords at
+// `program`'s end, assembling only the small prologue/epilogue scaffold from text. The two
+// agree byte for byte and symbol for symbol: AppendUnrolledKernel(v, enc, p) leaves p as
+// AssembleAppend(GenerateUnrolledKernelSource(v, enc), p) would (pinned in kernels_test).
 std::string GenerateUnrolledKernelSource(const KernelVariant& variant,
                                          const UnrolledEncoding& encoding);
+void AppendUnrolledKernel(const KernelVariant& variant, const UnrolledEncoding& encoding,
+                          AssembledProgram& program);
 
 // Assembled bytes of the fixed (per-kernel, model-independent) part of an unrolled kernel:
 // prologue + frame teardown + shared requant epilogue. The pin-tested size contract is

@@ -13,6 +13,7 @@
 // sums: bit-identical to SimProfiler on straight-line (non-faulting) code, and with
 // mid-block fault and interpreter-fallback residue folded in so total cycles still equal
 // the profiled window's Cpu::cycles() delta exactly (pinned in tests/obs_test.cc).
+// CollectByOp() folds the same counters by opcode without the per-PC expansion.
 
 #ifndef NEUROC_SRC_OBS_BLOCK_PROFILER_H_
 #define NEUROC_SRC_OBS_BLOCK_PROFILER_H_
@@ -34,6 +35,10 @@ class BlockProfiler {
   // Snapshot of everything attributed since attach (or the last Reset). Expansion runs
   // here, not per-block-exit, so reading the profile is the only O(program) cost.
   PcProfile Collect() const;
+  // The same window folded by opcode only (op_counts/op_cycles and the totals; pc_stats
+  // left empty): O(compiled ops) instead of one map entry per executed PC, for callers
+  // that need the op-class summary and not the per-PC attribution.
+  PcProfile CollectByOp() const;
   void Reset() { cpu_.ResetBlockProfile(); }
 
  private:

@@ -8,6 +8,7 @@
 #include "src/common/crc32.h"
 #include "src/kernels/kernel_sources.h"
 #include "src/obs/registry.h"
+#include "src/runtime/profile.h"
 
 namespace neuroc {
 
@@ -255,16 +256,17 @@ void DeployedModel::Scrub() {
   machine_->Restore(pristine_);
 }
 
-Status DeployedModel::ArmWatchdog(double headroom) {
+Status DeployedModel::ArmWatchdog(double headroom, ExecutionProfile* golden) {
   NEUROC_CHECK(headroom >= 1.0);
   DisarmWatchdog();
   // Calibration: one unsupervised golden inference (zero input — latency is
   // input-independent by construction, so it represents every input).
-  std::vector<int8_t> zeros(image_.input_dim, 0);
-  StatusOr<int> golden = TryPredict(zeros);
-  if (!golden.ok()) {
-    Scrub();
-    return golden.status();
+  StatusOr<ExecutionProfile> run = RunGoldenInference(*this);
+  if (!run.ok()) {
+    return run.status();
+  }
+  if (golden != nullptr) {
+    *golden = *run;
   }
   const uint64_t golden_cycles = report_.cycles_per_inference;
   // The +64 floor keeps the budget strictly above the golden count even at headroom 1.0,
@@ -272,7 +274,6 @@ Status DeployedModel::ArmWatchdog(double headroom) {
   watchdog_budget_ = std::max<uint64_t>(
       static_cast<uint64_t>(headroom * static_cast<double>(golden_cycles)),
       golden_cycles + 64);
-  Scrub();  // undo the calibration run's side effects (SRAM, counters)
   return Status::Ok();
 }
 

@@ -22,6 +22,8 @@
 
 namespace neuroc {
 
+struct ExecutionProfile;  // src/runtime/profile.h
+
 struct DeploymentReport {
   size_t code_bytes = 0;       // assembled kernels
   size_t image_bytes = 0;      // descriptors + weights/encodings
@@ -106,10 +108,13 @@ class DeployedModel {
   // golden (zero-input, fault-free by assumption) inference: budget = golden cycles ×
   // `headroom`. Subsequent TryPredict calls are supervised — an inference that exceeds
   // the budget stops with a structured kDeadlineExceeded FaultReport carrying the PC it
-  // was stopped at, distinguishable from genuine guest faults. The golden run's side
-  // effects are undone by a scrub, so arming leaves the machine pristine. Returns the
-  // fault status if the calibration run itself faults. headroom must be >= 1.
-  Status ArmWatchdog(double headroom = 8.0);
+  // was stopped at, distinguishable from genuine guest faults. The golden run is
+  // RunGoldenInference (src/runtime/profile.h): its side effects are undone by a RAM-and-
+  // register restore, so arming leaves the machine as deployed with its decode cache
+  // warm, and `golden` (when non-null) receives the run's op-class summary — the energy
+  // proxy's input, at no second inference. Returns the fault status if the calibration
+  // run itself faults. headroom must be >= 1.
+  Status ArmWatchdog(double headroom = 8.0, ExecutionProfile* golden = nullptr);
   void DisarmWatchdog() { watchdog_budget_ = 0; }
   // Cycle budget enforced per inference; 0 when disarmed.
   uint64_t watchdog_budget() const { return watchdog_budget_; }

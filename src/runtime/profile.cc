@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/obs/block_profiler.h"
 #include "src/obs/registry.h"
@@ -109,7 +110,22 @@ std::array<uint64_t, kEnergyClassCount> CyclesByEnergyClass(const ExecutionProfi
   return cycles;
 }
 
-// Runs one zero-input inference under the block-granular counters.
+// Runs one zero-input inference under the block-granular counters and returns the
+// op-class summary, or the guest fault.
+StatusOr<ExecutionProfile> TryProfileInference(DeployedModel& model) {
+  Cpu& cpu = model.machine().cpu();
+  cpu.ResetCounters();
+  BlockProfiler profiler(cpu);
+  const StatusOr<int> best = model.TryPredict(std::vector<int8_t>(model.input_dim(), 0));
+  const PcProfile by_op = profiler.CollectByOp();
+  profiler.Reset();  // read out: detaching then has nothing left to expand per PC
+  if (!best.ok()) {
+    return best.status();
+  }
+  return SummarizeAttribution(by_op, model.machine().memory().stats());
+}
+
+// Runs one zero-input inference under the block-granular counters, attributed per PC.
 PcProfile RunAttributedInference(DeployedModel& model) {
   Cpu& cpu = model.machine().cpu();
   cpu.ResetCounters();
@@ -122,8 +138,25 @@ PcProfile RunAttributedInference(DeployedModel& model) {
 }  // namespace
 
 ExecutionProfile ProfileInference(DeployedModel& model) {
-  const PcProfile attribution = RunAttributedInference(model);
-  return SummarizeAttribution(attribution, model.machine().memory().stats());
+  StatusOr<ExecutionProfile> profile = TryProfileInference(model);
+  NEUROC_CHECK_MSG(profile.ok(), profile.status().ToString().c_str());
+  MetricsRegistry::Global().GetCounter("profile.runs").Add(1);
+  return *profile;
+}
+
+StatusOr<ExecutionProfile> RunGoldenInference(DeployedModel& model) {
+  StatusOr<ExecutionProfile> profile = TryProfileInference(model);
+  if (!profile.ok()) {
+    model.Scrub();
+    return profile.status();
+  }
+  model.machine().Restore(model.pristine_snapshot(), RestoreScope::kRamAndRegisters);
+  return profile;
+}
+
+EnergyEstimate EstimateEnergy(const ExecutionProfile& profile, const EnergyModel& model) {
+  return EstimateEnergy(model, CyclesByEnergyClass(profile), profile.flash_reads,
+                        profile.sram_reads, profile.sram_writes);
 }
 
 InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
@@ -140,9 +173,7 @@ InferenceProfile ProfileInferenceDetailed(DeployedModel& model,
   out.layer_cycles = model.report().layer_cycles;
   out.heatmap = machine.memory().heatmap();
   out.energy_model = EnergyModel::CortexM0Proxy();
-  out.energy = EstimateEnergy(out.energy_model, CyclesByEnergyClass(out.summary),
-                              out.summary.flash_reads, out.summary.sram_reads,
-                              out.summary.sram_writes);
+  out.energy = EstimateEnergy(out.summary, out.energy_model);
 
   const uint32_t ram_top =
       machine.config().ram_base + machine.config().ram_size;

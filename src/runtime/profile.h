@@ -1,10 +1,10 @@
 // Execution profiling of deployed models on the simulated MCU. Instruction mix and
-// per-category cycle attribution come from exact per-PC/per-opcode data (a PcProfile,
-// src/obs/sim_profiler.h) gathered by the block-granular counters, and the detailed
-// profile adds per-symbol hotspots, per-layer cycles, memory heatmaps and the SRAM stack
-// high-water mark. This is the quantitative backing for the paper's Sec. 4.1
-// discussion — on a cache-less in-order core, the memory-access pattern and control path
-// *are* the performance model.
+// per-category cycle attribution come from exact per-opcode data gathered by the
+// block-granular counters, and the detailed profile adds the per-PC attribution (a
+// PcProfile, src/obs/sim_profiler.h), per-symbol hotspots, per-layer cycles, memory
+// heatmaps and the SRAM stack high-water mark. This is the quantitative backing for the
+// paper's Sec. 4.1 discussion — on a cache-less in-order core, the memory-access pattern
+// and control path *are* the performance model.
 
 #ifndef NEUROC_SRC_RUNTIME_PROFILE_H_
 #define NEUROC_SRC_RUNTIME_PROFILE_H_
@@ -65,12 +65,26 @@ struct InferenceProfile {
   EnergyEstimate energy;            // cycles × active-power + access-energy estimate
 };
 
-// Runs one inference on `model` (zero input) and returns the profile of exactly that run.
-// Attribution comes from the block-granular counters (src/obs/block_profiler.h), so the
-// profiled run stays on block-compiled execution; the per-PC numbers are bit-identical to
-// the step-interpreter probe (SimProfiler), which tests and bench_sim_throughput keep as
-// the reference.
+// Runs one inference on `model` (zero input) and returns the op-class summary of exactly
+// that run. The block-granular counters (src/obs/block_profiler.h) are folded by opcode in
+// O(compiled ops) — no per-PC map — so the profiled run stays on block-compiled execution
+// and reading it costs little even for a 100k-instruction unrolled kernel. The summary
+// equals that of ProfileInferenceDetailed and of the step-interpreter probe (SimProfiler),
+// which tests keep as the reference.
 ExecutionProfile ProfileInference(DeployedModel& model);
+
+// The load-time golden run: ProfileInference's zero-input inference, then a RAM-and-
+// register restore from the pristine snapshot. An inference cannot write flash (a guest
+// store to flash faults), so flash, its decoded slots and the compiled blocks stay warm for
+// every later run, and the machine is otherwise as deployed. One run yields both the
+// watchdog calibration (DeployedModel::ArmWatchdog) and the energy proxy the serving cache
+// attaches to responses. On a guest fault the machine is fully scrubbed and the fault
+// returned.
+StatusOr<ExecutionProfile> RunGoldenInference(DeployedModel& model);
+
+// The energy proxy of one profiled inference (EnergyModel::CortexM0Proxy() by default).
+EnergyEstimate EstimateEnergy(const ExecutionProfile& profile,
+                              const EnergyModel& model = EnergyModel::CortexM0Proxy());
 
 // As above, plus symbol-resolved hotspots, memory heatmap (`heatmap_bucket_bytes`-sized
 // buckets), stack tracking, and the energy-proxy estimate. Warns via NEUROC_LOG_WARN

@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/obs/registry.h"
+#include "src/runtime/profile.h"
 
 namespace neuroc {
 
@@ -20,7 +21,8 @@ const char* RecoveryRungName(RecoveryRung rung) {
 
 StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
                                             const MachineConfig& config,
-                                            const RecoveryPolicy& policy) {
+                                            const RecoveryPolicy& policy,
+                                            ExecutionProfile* golden) {
   NEUROC_CHECK(policy.watchdog_headroom == 0.0 || policy.watchdog_headroom >= 1.0);
   GuardedModel gm;
   gm.model_ = std::move(model);
@@ -34,10 +36,16 @@ StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
   }
   gm.dm_ = std::make_unique<DeployedModel>(std::move(*dm));
   if (policy.watchdog_headroom > 0.0) {
-    Status armed = gm.dm_->ArmWatchdog(policy.watchdog_headroom);
+    Status armed = gm.dm_->ArmWatchdog(policy.watchdog_headroom, golden);
     if (!armed.ok()) {
       return armed;
     }
+  } else if (golden != nullptr) {
+    StatusOr<ExecutionProfile> run = RunGoldenInference(*gm.dm_);
+    if (!run.ok()) {
+      return run.status();
+    }
+    *golden = *run;
   }
   return gm;
 }

@@ -80,11 +80,15 @@ struct GuardedResult {
 class GuardedModel {
  public:
   // Takes ownership of `model` (NeuroCModel is move-only; the kRedeploy rung re-encodes
-  // it), deploys it and arms the watchdog per `policy`. Fails with the deploy or
-  // calibration status; never aborts on guest faults.
+  // it), deploys it and arms the watchdog per `policy`. When `golden` is non-null it
+  // receives the op-class summary of the load's one golden inference (RunGoldenInference,
+  // src/runtime/profile.h) — the watchdog calibration run itself, or a run of its own when
+  // the watchdog is disabled. Fails with the deploy or calibration status; never aborts
+  // on guest faults.
   static StatusOr<GuardedModel> Create(NeuroCModel model,
                                        const MachineConfig& config = {},
-                                       const RecoveryPolicy& policy = {});
+                                       const RecoveryPolicy& policy = {},
+                                       ExecutionProfile* golden = nullptr);
 
   // One guarded inference: watchdog-supervised (and dual-run, when enabled) execution
   // with the recovery ladder walked on any detected fault. Never aborts.

@@ -25,7 +25,7 @@ uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
 
 // Shared collector: latencies, totals, and the order-independent payload checksum.
 struct Collector {
-  explicit Collector(const LoadGenConfig& config) : config(config) {}
+  explicit Collector(const LoadGenConfig& cfg) : config(cfg) {}
 
   void Record(uint64_t request_id, const ServeResponse& resp, double latency_ms) {
     std::lock_guard<std::mutex> lock(mutex);

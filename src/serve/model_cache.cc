@@ -24,6 +24,7 @@ ModelCache::ModelCache(const ModelCacheConfig& config, ModelLoader loader)
 
 StatusOr<ModelCache::Entry*> ModelCache::Acquire(const std::string& name) {
   MetricsRegistry& reg = MetricsRegistry::Global();
+  std::list<Entry> evicted;  // declared before the lock: torn down after it is released
   std::unique_lock<std::mutex> lock(mutex_);
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->name == name) {
@@ -35,57 +36,61 @@ StatusOr<ModelCache::Entry*> ModelCache::Acquire(const std::string& name) {
   }
   reg.GetCounter("serve.cache.misses").Add(1);
 
-  // Load outside the lock: deploy + watchdog calibration + the energy profile run are
-  // milliseconds of simulation, and other models' batches must keep flowing meanwhile.
+  // Load outside the lock: codegen, deploy and the golden run are milliseconds of host
+  // work, and other models' batches must keep flowing meanwhile.
   lock.unlock();
   StatusOr<NeuroCModel> model = loader_(name);
   if (!model.ok()) {
     reg.GetCounter("serve.cache.load_failures").Add(1);
     return model.status();
   }
+  // The load's one golden inference calibrates the watchdog and pins the per-request
+  // energy proxy. Cycles (and with them the opcode mix) are input-independent by
+  // construction, so this zero-input estimate holds for every request served by the model.
+  ExecutionProfile golden;
   StatusOr<GuardedModel> guarded =
-      GuardedModel::Create(std::move(*model), config_.machine, config_.policy);
+      GuardedModel::Create(std::move(*model), config_.machine, config_.policy, &golden);
   if (!guarded.ok()) {
     reg.GetCounter("serve.cache.load_failures").Add(1);
     return guarded.status();
   }
-  // One profiled inference pins the per-request energy proxy. Cycles (and with them the
-  // opcode mix) are input-independent by construction, so this zero-input estimate holds
-  // for every request served by the model.
-  const ExecutionProfile prof = ProfileInference(guarded->deployed());
-  const EnergyEstimate energy = EstimateEnergy(
-      EnergyModel::CortexM0Proxy(),
-      {prof.alu_cycles, prof.multiply_cycles, prof.load_cycles, prof.store_cycles,
-       prof.branch_cycles, prof.stack_cycles},
-      prof.flash_reads, prof.sram_reads, prof.sram_writes);
+  const EnergyEstimate energy = EstimateEnergy(golden);
 
   lock.lock();
   // A concurrent Acquire may have loaded the same name while we were unlocked; prefer
   // the resident entry and drop ours so a model never has two live machines.
+  Entry* entry = nullptr;
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->name == name) {
       entries_.splice(entries_.begin(), entries_, it);
-      ++entries_.front().pins;
-      return &entries_.front();
+      entry = &entries_.front();
+      break;
     }
   }
-  entries_.push_front(Entry{name, std::move(*guarded),
-                            static_cast<uint64_t>(std::llround(energy.total_pj)),
-                            /*pins=*/1});
-  EvictOverflowLocked();
-  return &entries_.front();
+  if (entry == nullptr) {
+    entries_.push_front(Entry{name, std::move(*guarded),
+                              static_cast<uint64_t>(std::llround(energy.total_pj)),
+                              /*pins=*/0});
+    entry = &entries_.front();
+  }
+  ++entry->pins;
+  EvictOverflowLocked(evicted);
+  // Machine teardown (victims, or our duplicate load) frees a whole simulated machine
+  // with its snapshot and decode caches; it runs after unlocking so hits on other models
+  // never wait on it.
+  lock.unlock();
+  return entry;
 }
 
 void ModelCache::Release(Entry* entry) {
+  std::list<Entry> evicted;  // declared before the lock: torn down after it is released
   std::lock_guard<std::mutex> lock(mutex_);
   NEUROC_CHECK(entry->pins > 0);
   --entry->pins;
-  if (entries_.size() > config_.capacity) {
-    EvictOverflowLocked();  // an over-capacity entry was waiting on this pin
-  }
+  EvictOverflowLocked(evicted);  // an over-capacity entry may have waited on this pin
 }
 
-void ModelCache::EvictOverflowLocked() {
+void ModelCache::EvictOverflowLocked(std::list<Entry>& evicted) {
   while (entries_.size() > config_.capacity) {
     // LRU victim: the last unpinned entry. All-pinned over capacity is transient — the
     // releasing batch re-runs eviction.
@@ -99,7 +104,7 @@ void ModelCache::EvictOverflowLocked() {
       return;
     }
     MetricsRegistry::Global().GetCounter("serve.cache.evictions").Add(1);
-    entries_.erase(victim);
+    evicted.splice(evicted.end(), entries_, victim);
   }
 }
 

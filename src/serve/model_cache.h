@@ -64,8 +64,9 @@ class ModelCache {
   Entry* PeekForTest(const std::string& name);
 
  private:
-  // Evicts unpinned LRU entries until the cache fits capacity. Caller holds mutex_.
-  void EvictOverflowLocked();
+  // Moves unpinned LRU entries into `evicted` until the cache fits capacity. Caller holds
+  // mutex_ and destroys `evicted` only after releasing it.
+  void EvictOverflowLocked(std::list<Entry>& evicted);
 
   ModelCacheConfig config_;
   ModelLoader loader_;

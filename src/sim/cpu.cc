@@ -400,44 +400,70 @@ void Cpu::FlushBlockHistograms() const {
 // entries. Mid-block fault residue and interpreter-step residue were already folded into
 // block_profile_ at the point they occurred, so after this flush the map's cycle total
 // equals the exact interpreter-visible charge for every retired instruction.
-void Cpu::FlushBlockProfiles() const {
+template <typename Fn>
+void Cpu::ForEachProfiledOp(const Block& blk, Fn&& fn) const {
+  if (blk.prof_execs == 0) {
+    // Counters are always sized, so "never ran profiled" needs a hit scan — nonzero hits
+    // without an exec happen only when every profiled run faulted mid-block.
+    bool any_hits = false;
+    for (const uint64_t h : blk.prof_mem_hits) {
+      any_hits |= h != 0;
+    }
+    if (!any_hits) {
+      return;
+    }
+  }
   const uint64_t fetch_ws = static_cast<uint64_t>(model_.flash_wait_states);
+  const size_t n = blk.ops.size();
+  for (size_t k = 0; k < n; ++k) {
+    const BlockOp& o = blk.ops[k];
+    const uint64_t static_k =
+        (k + 1 < n ? blk.ops[k + 1].cycles_before : blk.static_cycles) - o.cycles_before;
+    uint64_t cyc = blk.prof_execs * static_k;
+    cyc += blk.prof_mem_hits[k] * fetch_ws;
+    if (o.op == Op::kBcond) {
+      cyc += blk.prof_bcond_taken * static_cast<uint64_t>(model_.branch_taken) +
+             (blk.prof_execs - blk.prof_bcond_taken) *
+                 static_cast<uint64_t>(model_.branch_not_taken);
+    }
+    if (blk.prof_execs == 0 && cyc == 0) {
+      continue;  // nothing retired at this PC through this block
+    }
+    fn(o, blk.prof_execs, cyc);
+  }
+}
+
+void Cpu::FlushBlockProfiles() const {
   for (const Block& blk : blocks_) {
-    if (blk.prof_execs == 0) {
-      // Counters are always sized, so "never ran profiled" needs a hit scan — nonzero
-      // hits without an exec happen only when every profiled run faulted mid-block.
-      bool any_hits = false;
-      for (const uint64_t h : blk.prof_mem_hits) {
-        any_hits |= h != 0;
-      }
-      if (!any_hits) {
-        continue;
-      }
-    }
-    const size_t n = blk.ops.size();
-    for (size_t k = 0; k < n; ++k) {
-      const BlockOp& o = blk.ops[k];
-      const uint64_t static_k =
-          (k + 1 < n ? blk.ops[k + 1].cycles_before : blk.static_cycles) - o.cycles_before;
-      uint64_t cyc = blk.prof_execs * static_k;
-      cyc += blk.prof_mem_hits[k] * fetch_ws;
-      if (o.op == Op::kBcond) {
-        cyc += blk.prof_bcond_taken * static_cast<uint64_t>(model_.branch_taken) +
-               (blk.prof_execs - blk.prof_bcond_taken) *
-                   static_cast<uint64_t>(model_.branch_not_taken);
-      }
-      if (blk.prof_execs == 0 && cyc == 0) {
-        continue;  // nothing retired at this PC through this block
-      }
+    ForEachProfiledOp(blk, [&](const BlockOp& o, uint64_t count, uint64_t cycles) {
       ProfiledPc& stat = block_profile_[o.addr];
-      stat.count += blk.prof_execs;
-      stat.cycles += cyc;
+      stat.count += count;
+      stat.cycles += cycles;
       stat.op = o.op;
-    }
+    });
     blk.prof_execs = 0;
     blk.prof_bcond_taken = 0;
     std::fill(blk.prof_mem_hits.begin(), blk.prof_mem_hits.end(), 0);
   }
+}
+
+Cpu::OpProfile Cpu::CollectBlockProfileByOp() const {
+  OpProfile out;
+  auto add = [&](Op op, uint64_t count, uint64_t cycles) {
+    out.counts[static_cast<size_t>(op)] += count;
+    out.cycles[static_cast<size_t>(op)] += cycles;
+  };
+  for (const Block& blk : blocks_) {
+    ForEachProfiledOp(blk, [&](const BlockOp& o, uint64_t count, uint64_t cycles) {
+      add(o.op, count, cycles);
+    });
+  }
+  // Already-expanded entries: fault and interpreter-step residue, plus whatever an
+  // earlier flush moved out of the block counters.
+  for (const auto& [addr, stat] : block_profile_) {
+    add(stat.op, stat.count, stat.cycles);
+  }
+  return out;
 }
 
 Op Cpu::PeekOpAt(uint32_t addr) const {

@@ -155,6 +155,14 @@ class Cpu {
   // Expands all per-block counters (plus residue) into an address-ordered per-PC map and
   // resets the per-block counters; the accumulated map persists until ResetBlockProfile.
   const std::map<uint32_t, ProfiledPc>& CollectBlockProfile() const;
+  // Per-opcode totals of the same window, folded straight from the per-block counters
+  // (O(compiled ops)) plus the per-PC residue, with no per-PC expansion. A pure read: the
+  // counters stay in place. The totals equal the per-op sums of CollectBlockProfile().
+  struct OpProfile {
+    std::array<uint64_t, 80> counts{};
+    std::array<uint64_t, 80> cycles{};
+  };
+  OpProfile CollectBlockProfileByOp() const;
   void ResetBlockProfile();
 
   const CycleModel& cycle_model() const { return model_; }
@@ -259,6 +267,10 @@ class Cpu {
   // Expands every block's profile counters into block_profile_ per-PC entries and zeroes
   // them. Like FlushBlockHistograms, must run before blocks_ is cleared.
   void FlushBlockProfiles() const;
+  // Calls fn(block_op, count, cycles) for every op of `blk` its profile counters charge:
+  // the one expansion formula behind both collection paths.
+  template <typename Fn>
+  void ForEachProfiledOp(const Block& blk, Fn&& fn) const;
   // Uncounted decode peek for the interpreter-fallback residue path (host-side read; no
   // fetch accounting, no heatmap traffic). Returns kInvalid for unmapped addresses.
   Op PeekOpAt(uint32_t addr) const;

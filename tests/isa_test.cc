@@ -332,6 +332,38 @@ words:
   EXPECT_EQ(p.bytes[7], 0xAA);
 }
 
+TEST(AssemblerTest, HalfwordAlignedBaseAlignsByAbsoluteAddress) {
+  // A base that is 2 mod 4: `.align`, `.word` and the literal pool pad to absolute word
+  // boundaries, and PC-relative literal offsets stay exact.
+  const AssembledProgram p = Assemble(R"(
+    ldr r0, =0x11223344
+    .align 2
+words:
+    .word 0xAABBCCDD
+  )", 0x08000102);
+  EXPECT_EQ(p.SymbolAddr("words"), 0x08000104u);  // ldr at 0x102, no padding needed
+  ASSERT_EQ(p.bytes.size(), 10u);                  // ldr + word + pool at 0x108
+  EXPECT_EQ(p.bytes[2], 0xDD);
+  EXPECT_EQ(p.bytes[6], 0x44);
+  // ldr r0, [pc, #4]: pc base = align(0x102 + 4, 4) = 0x104; literal at 0x108.
+  EXPECT_EQ(p.bytes[0], 0x01);
+  EXPECT_EQ(p.bytes[1], 0x48);
+}
+
+TEST(AssemblerTest, AppendedPiecesMatchOneListing) {
+  const std::string a = "first:\n    movs r0, #1\n    b first\n";
+  const std::string b = "second:\n    nop\n    .align 2\ndata:\n    .word 9\n";
+  const AssembledProgram whole = Assemble("    nop\n" + a + b, 0x08000000);
+  AssembledProgram pieces;
+  pieces.base_addr = 0x08000000;
+  AssembleAppend("    nop\n", pieces);
+  AssembleAppend(a, pieces);
+  AssembleAppend(b, pieces);
+  EXPECT_EQ(pieces.bytes, whole.bytes);
+  EXPECT_EQ(pieces.symbols, whole.symbols);
+  EXPECT_DEATH(AssembleAppend(a, pieces), "duplicate label");
+}
+
 TEST(AssemblerTest, MemoryOperandForms) {
   const AssembledProgram p = Assemble(R"(
     ldr r0, [r1]

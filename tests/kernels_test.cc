@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/common/crc32.h"
 #include "src/core/synthetic.h"
 #include "src/isa/assembler.h"
 #include "src/kernels/conv_desc.h"
@@ -113,7 +114,7 @@ TEST(UnrolledKernelTest, SizeModelPinsAssembledBytes) {
   // The contract that keeps UnrolledEncoding::Sizes() honest: assembled kernel bytes must
   // equal the marginal size model plus the fixed scaffold, for any adjacency.
   Rng rng(987);
-  for (const auto [in, out, density] :
+  for (const auto& [in, out, density] :
        {std::tuple<size_t, size_t, double>{64, 16, 0.2}, {300, 24, 0.05}, {17, 3, 0.9},
         {784, 32, 0.02}, {40, 8, 0.0}}) {
     for (const bool scale : {false, true}) {
@@ -136,6 +137,130 @@ TEST(UnrolledKernelTest, RoundTripDecode) {
   const UnrolledEncoding enc(m);
   EXPECT_EQ(enc.Decode(), m);
   EXPECT_EQ(enc.NonZeroCount(), m.NonZeroCount());
+}
+
+TEST(UnrolledKernelTest, DirectEncodingMatchesAssembledListing) {
+  // KernelSet encodes the unrolled body straight to halfwords; the text listing run
+  // through the assembler is its differential oracle. Sweep: the serving-churn shapes
+  // (784x64, 784x128 at density 0.12) and the Fig. 5 N_out points that fit the 128 KB
+  // flash, with and without scale, at a word-aligned base and at a base that is only
+  // halfword-aligned (where an unrolled kernel lands after an odd number of halfwords).
+  struct Shape {
+    size_t in_dim;
+    size_t out_dim;
+    double density;
+  };
+  const Shape shapes[] = {{784, 64, 0.12},    {784, 128, 0.12},   {784, 32, 0.115},
+                          {784, 64, 0.115},   {784, 128, 0.115},  {2048, 32, 0.045},
+                          {2048, 64, 0.045},  {2048, 128, 0.045}};
+  Rng rng(1405);
+  for (const Shape& shape : shapes) {
+    const TernaryMatrix m =
+        TernaryMatrix::Random(shape.in_dim, shape.out_dim, shape.density, rng);
+    const UnrolledEncoding enc(m);
+    for (const bool scale : {false, true}) {
+      KernelVariant v;
+      v.kind = EncodingKind::kUnrolled;
+      v.unrolled_layer = 1;
+      v.has_scale = scale;
+      const std::string listing = GenerateUnrolledKernelSource(v, enc);
+      for (const uint32_t base : {0x08000000u, 0x08000402u}) {
+        SCOPED_TRACE(std::to_string(shape.in_dim) + "x" + std::to_string(shape.out_dim) +
+                     " d=" + std::to_string(shape.density) + " scale=" +
+                     std::to_string(scale) + " base=" + std::to_string(base));
+        const AssembledProgram oracle = Assemble(listing, base);
+        AssembledProgram direct;
+        direct.base_addr = base;
+        AppendUnrolledKernel(v, enc, direct);
+        EXPECT_EQ(direct.base_addr, oracle.base_addr);
+        EXPECT_EQ(direct.bytes, oracle.bytes);
+        EXPECT_EQ(direct.symbols, oracle.symbols);
+        EXPECT_EQ(direct.bytes.size(), enc.Sizes().total() + UnrolledKernelFixedBytes(scale));
+      }
+    }
+  }
+}
+
+TEST(UnrolledKernelTest, AppendedKernelMatchesAssemblingTheConcatenatedListing) {
+  // Appending after another kernel: the unrolled kernel starts wherever the previous one
+  // ended, and a text kernel may follow it at a halfword-only-aligned address.
+  Rng rng(78);
+  const UnrolledEncoding enc(TernaryMatrix::Random(100, 33, 0.2, rng));
+  KernelVariant unrolled;
+  unrolled.kind = EncodingKind::kUnrolled;
+  unrolled.unrolled_layer = 1;
+  KernelVariant block;
+  block.kind = EncodingKind::kBlock;
+  const std::string head = GenerateKernelSource(KernelVariant{});
+  const std::string tail = GenerateKernelSource(block);
+  const AssembledProgram oracle =
+      Assemble(head + GenerateUnrolledKernelSource(unrolled, enc) + tail, 0x08000000);
+  AssembledProgram pieces;
+  pieces.base_addr = 0x08000000;
+  AssembleAppend(head, pieces);
+  AppendUnrolledKernel(unrolled, enc, pieces);
+  AssembleAppend(tail, pieces);
+  EXPECT_EQ(pieces.bytes, oracle.bytes);
+  EXPECT_EQ(pieces.symbols, oracle.symbols);
+  // Both joins fall on halfword-only-aligned addresses.
+  EXPECT_EQ(pieces.SymbolAddr(KernelFunctionName(unrolled)) % 4, 2u);
+  EXPECT_EQ(pieces.SymbolAddr(KernelFunctionName(block)) % 4, 2u);
+}
+
+// Model with a per-layer encoding choice, for KernelSet layouts that mix unrolled and
+// table-driven kernels.
+NeuroCModel MakeMixedModel(uint64_t seed, const std::vector<size_t>& dims,
+                           const std::vector<EncodingKind>& encodings, double density,
+                           bool has_scale) {
+  Rng rng(seed);
+  std::vector<QuantNeuroCLayer> layers;
+  for (size_t i = 0; i + 1 < dims.size(); ++i) {
+    SyntheticNeuroCLayerSpec spec;
+    spec.in_dim = dims[i];
+    spec.out_dim = dims[i + 1];
+    spec.density = density;
+    spec.encoding = encodings[i];
+    spec.has_scale = has_scale;
+    spec.relu = i + 2 < dims.size();
+    layers.push_back(MakeSyntheticNeuroCLayer(spec, rng));
+  }
+  return NeuroCModel::FromLayers(std::move(layers));
+}
+
+TEST(KernelSetTest, ProgramsMatchPinnedDigests) {
+  // Size and CRC-32 of whole kernel sections, recorded when every kernel was still
+  // assembled from one concatenated listing. Seeds 9–12 put a kernel at an address that
+  // is 2 mod 4 (after an unrolled kernel of odd halfword count).
+  constexpr EncodingKind U = EncodingKind::kUnrolled;
+  constexpr EncodingKind D = EncodingKind::kDelta;
+  constexpr EncodingKind B = EncodingKind::kBlock;
+  constexpr EncodingKind C = EncodingKind::kCsc;
+  struct Pin {
+    uint64_t seed;
+    std::vector<size_t> dims;
+    std::vector<EncodingKind> encodings;
+    double density;
+    bool has_scale;
+    size_t bytes;
+    uint32_t crc;
+  };
+  const Pin pins[] = {
+      {7, {784, 128, 10}, {U, U}, 0.12, true, 74182, 0x42ebe6e8},
+      {8, {784, 64, 10}, {U, U}, 0.12, false, 38174, 0xe6659dd0},
+      {9, {100, 33, 17, 10}, {D, U, B}, 0.2, true, 1632, 0xb2c14c3b},
+      {10, {100, 31, 19, 10}, {U, C, U}, 0.3, false, 6492, 0x38ef4ee4},
+      {11, {64, 24, 10}, {U, U}, 0.2, true, 2696, 0x73a00226},
+      {12, {64, 27, 10}, {U, D}, 0.25, true, 3242, 0x8f5d6c93},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.seed);
+    const NeuroCModel model =
+        MakeMixedModel(pin.seed, pin.dims, pin.encodings, pin.density, pin.has_scale);
+    const DeviceModelImage image = PackNeuroCModel(model, 0x08000000, 0x20000000);
+    const KernelSet set = KernelSet::Build(image.variants, 0x08000000, false, &model);
+    EXPECT_EQ(set.code_bytes(), pin.bytes);
+    EXPECT_EQ(Crc32(std::span<const uint8_t>(set.program().bytes)), pin.crc);
+  }
 }
 
 TEST(UnrolledKernelTest, PerLayerKernelsDoNotDeduplicate) {

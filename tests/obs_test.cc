@@ -543,6 +543,93 @@ TEST(BlockProfilerTest, DetailedProfileMatchesStepProbe) {
   EXPECT_EQ(block.summary.sram_writes, mem.sram_writes);
 }
 
+void ExpectSummariesEqual(const ExecutionProfile& a, const ExecutionProfile& b) {
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.loads, b.loads);
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.alu, b.alu);
+  EXPECT_EQ(a.multiplies, b.multiplies);
+  EXPECT_EQ(a.branches, b.branches);
+  EXPECT_EQ(a.stack_ops, b.stack_ops);
+  EXPECT_EQ(a.load_cycles, b.load_cycles);
+  EXPECT_EQ(a.store_cycles, b.store_cycles);
+  EXPECT_EQ(a.alu_cycles, b.alu_cycles);
+  EXPECT_EQ(a.multiply_cycles, b.multiply_cycles);
+  EXPECT_EQ(a.branch_cycles, b.branch_cycles);
+  EXPECT_EQ(a.stack_cycles, b.stack_cycles);
+  EXPECT_EQ(a.flash_reads, b.flash_reads);
+  EXPECT_EQ(a.sram_reads, b.sram_reads);
+  EXPECT_EQ(a.sram_writes, b.sram_writes);
+}
+
+TEST(BlockProfilerTest, OpSummaryMatchesDetailedAndStepProbeAcrossEncodings) {
+  // ProfileInference folds the block counters by opcode with no per-PC map; the detailed
+  // profile (per-PC expansion) and the step probe on separate deployments are its
+  // references, for every encoding including per-model unrolled code.
+  for (const EncodingKind encoding : kAllEncodingKinds) {
+    SCOPED_TRACE(EncodingKindName(encoding));
+    testutil::TestModelSpec spec;
+    spec.encoding = encoding;
+    const NeuroCModel model = testutil::MakeTestModel(25, spec);
+    const MachineConfig config = Stm32f072rb().ToMachineConfig();
+
+    DeployedModel fast_dm = DeployedModel::Deploy(model, config);
+    const ExecutionProfile fast = ProfileInference(fast_dm);
+    DeployedModel detailed_dm = DeployedModel::Deploy(model, config);
+    const InferenceProfile detailed = ProfileInferenceDetailed(detailed_dm, 64);
+    ExpectSummariesEqual(fast, detailed.summary);
+    EXPECT_EQ(EstimateEnergy(fast).total_pj, detailed.energy.total_pj);
+
+    DeployedModel stepped = DeployedModel::Deploy(model, config);
+    stepped.machine().cpu().ResetCounters();
+    SimProfiler step_profiler;
+    {
+      ScopedCpuProbe attach(stepped.machine().cpu(), &step_profiler);
+      stepped.Predict(std::vector<int8_t>(stepped.input_dim(), 0));
+    }
+    const PcProfile& step = step_profiler.profile();
+    EXPECT_EQ(fast.cycles, step.total_cycles);
+    EXPECT_EQ(fast.instructions, step.total_instructions);
+    EXPECT_EQ(fast.multiplies + fast.loads + fast.stores + fast.alu + fast.branches +
+                  fast.stack_ops,
+              step.total_instructions);
+    const MemAccessStats& mem = stepped.machine().memory().stats();
+    EXPECT_EQ(fast.flash_reads, mem.flash_reads);
+    EXPECT_EQ(fast.sram_reads, mem.sram_reads);
+    EXPECT_EQ(fast.sram_writes, mem.sram_writes);
+
+    // Profiling the same machine again reads the same window size, and the by-op read left
+    // no per-PC residue behind for a later detailed profile to double count.
+    ExpectSummariesEqual(ProfileInference(fast_dm), fast);
+    ExpectSummariesEqual(ProfileInferenceDetailed(fast_dm, 64).summary, fast);
+  }
+}
+
+TEST(BlockProfilerTest, OpFoldEqualsPerPcExpansionWhenInferenceAbortsMidRun) {
+  // Mid-block fault residue lands in the per-PC map at the fault; the by-op fold must
+  // still account for it (and for the counters of the blocks that completed).
+  NeuroCModel model = MakeSmallModel(26);
+  MachineConfig config = Stm32f072rb().ToMachineConfig();
+  config.max_instructions = 700;
+  DeployedModel aborted = DeployedModel::Deploy(model, config);
+  Cpu& cpu = aborted.machine().cpu();
+  cpu.ResetCounters();
+  BlockProfiler profiler(cpu);
+  EXPECT_FALSE(aborted.TryPredict(std::vector<int8_t>(aborted.input_dim(), 3)).ok());
+  const PcProfile by_op = profiler.CollectByOp();
+  const PcProfile per_pc = profiler.Collect();
+  EXPECT_TRUE(by_op.pc_stats.empty());
+  EXPECT_EQ(by_op.op_counts, per_pc.op_counts);
+  EXPECT_EQ(by_op.op_cycles, per_pc.op_cycles);
+  EXPECT_EQ(by_op.total_cycles, cpu.cycles());
+  EXPECT_EQ(by_op.total_instructions, cpu.instructions());
+  // After the per-PC flush the counters live in the map; folding again reads the same.
+  const PcProfile again = profiler.CollectByOp();
+  EXPECT_EQ(again.op_cycles, per_pc.op_cycles);
+  EXPECT_EQ(again.total_cycles, cpu.cycles());
+}
+
 TEST(BlockProfilerTest, TotalsStayExactWhenInferenceAbortsMidRun) {
   NeuroCModel model = MakeSmallModel(23);
   MachineConfig config = Stm32f072rb().ToMachineConfig();

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "gtest/gtest.h"
 #include "src/obs/registry.h"
+#include "src/runtime/profile.h"
 #include "src/serve/frame.h"
 #include "src/serve/load_gen.h"
 #include "src/serve/server.h"
@@ -435,6 +437,48 @@ TEST(ServeCacheTest, LruEvictsAndReloadsBeyondCapacity) {
   const NeuroCModel host = MakeTestModel(41, SmallSpec());
   const ServeRequest req = MakeRequest(3, "a", "m1", 700);
   EXPECT_EQ(host.Predict(req.input), host.Predict(MakeRequest(1, "a", "m1", 700).input));
+}
+
+TEST(ServeCacheTest, ReloadsMatchAnIndependentProfileForEveryEncoding) {
+  // The cache's energy and cycles come from the load's one golden run; an independent
+  // deployment profiled per PC is the reference. A capacity of 1 makes every switch a miss,
+  // so each model is loaded, evicted and reloaded.
+  std::map<std::string, EncodingKind> kinds;
+  for (const EncodingKind kind : kAllEncodingKinds) {
+    kinds[EncodingKindName(kind)] = kind;
+  }
+  const auto make = [](EncodingKind kind) {
+    TestModelSpec spec = SmallSpec();
+    spec.encoding = kind;
+    return MakeTestModel(61, spec);
+  };
+  ServeConfig cfg = ManualConfig();
+  cfg.cache_capacity = 1;
+  InferenceService service(cfg, [&](const std::string& name) -> StatusOr<NeuroCModel> {
+    return make(kinds.at(name));
+  });
+  const uint64_t misses_before = CounterValue("serve.cache.misses");
+  uint64_t id = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [name, kind] : kinds) {
+      SCOPED_TRACE(name + " pass " + std::to_string(pass));
+      const NeuroCModel host = make(kind);
+      DeployedModel reference = DeployedModel::Deploy(host);
+      const InferenceProfile profile = ProfileInferenceDetailed(reference);
+      for (uint64_t input_seed : {900, 901}) {
+        const ServeRequest req = MakeRequest(id++, "a", name, input_seed);
+        ServeResponse got;
+        service.Submit(req, [&](const ServeResponse& r) { got = r; });
+        EXPECT_EQ(service.RunOnce(), 1u);
+        ASSERT_TRUE(got.ok()) << got.message;
+        EXPECT_EQ(got.energy_pj, static_cast<uint64_t>(std::llround(profile.energy.total_pj)));
+        EXPECT_EQ(got.cycles, profile.summary.cycles);
+        EXPECT_EQ(got.prediction, host.Predict(req.input));
+        EXPECT_EQ(got.prediction, reference.Predict(req.input));
+      }
+    }
+  }
+  EXPECT_EQ(CounterValue("serve.cache.misses") - misses_before, 2 * kinds.size());
 }
 
 TEST(ServeCacheTest, CacheHitSkipsLoader) {

@@ -12,7 +12,9 @@
 
 #include "src/core/synthetic.h"
 #include "src/isa/assembler.h"
+#include "src/obs/registry.h"
 #include "src/runtime/deployed_model.h"
+#include "src/runtime/profile.h"
 #include "src/runtime/recovery.h"
 #include "src/sim/machine.h"
 #include "tests/test_util.h"
@@ -59,6 +61,61 @@ TEST(WatchdogTest, ArmedWatchdogIsInvisibleOnTheFaultFreePath) {
   // Identical simulated state after identical work: the supervisor costs zero cycles.
   EXPECT_EQ(plain.machine().cpu().cycles(), armed.machine().cpu().cycles());
   EXPECT_EQ(plain.machine().cpu().instructions(), armed.machine().cpu().instructions());
+}
+
+TEST(WatchdogTest, ArmingRunsOneGoldenInferenceAndKeepsFlashWarm) {
+  for (const EncodingKind kind : kAllEncodingKinds) {
+    SCOPED_TRACE(EncodingKindName(kind));
+    DeployedModel armed = DeployedModel::Deploy(SmallModel(33, kind));
+    const MachineSnapshot& pristine = armed.pristine_snapshot();
+    const uint64_t flash_generation = armed.machine().memory().flash_generation();
+    MetricsRegistry::Counter& inferences =
+        MetricsRegistry::Global().GetCounter("runtime.inferences");
+    const uint64_t inferences_before = inferences.value();
+
+    ExecutionProfile golden;
+    ASSERT_TRUE(armed.ArmWatchdog(8.0, &golden).ok());
+    // One inference calibrates the budget and yields the energy proxy's input...
+    EXPECT_EQ(inferences.value(), inferences_before + 1);
+    EXPECT_EQ(armed.watchdog_budget(), 8 * armed.report().cycles_per_inference);
+    EXPECT_EQ(golden.cycles, armed.report().cycles_per_inference);
+    DeployedModel reference = DeployedModel::Deploy(SmallModel(33, kind));
+    const ExecutionProfile expected = ProfileInference(reference);
+    EXPECT_EQ(golden.cycles, expected.cycles);
+    EXPECT_EQ(golden.instructions, expected.instructions);
+    EXPECT_EQ(EstimateEnergy(golden).total_pj, EstimateEnergy(expected).total_pj);
+    // ...and is undone without a flash rewrite: SRAM, registers and counters are back at
+    // the deployed state while the flash image (and its decode cache) stays as it was.
+    EXPECT_EQ(armed.machine().memory().flash_generation(), flash_generation);
+    const MachineSnapshot after = armed.machine().Snapshot();
+    EXPECT_EQ(after.cpu.regs, pristine.cpu.regs);
+    EXPECT_EQ(after.cpu.cycles, pristine.cpu.cycles);
+    EXPECT_EQ(after.cpu.instructions, pristine.cpu.instructions);
+    EXPECT_EQ(after.cpu.op_histogram, pristine.cpu.op_histogram);
+    EXPECT_EQ(after.memory.ram, pristine.memory.ram);
+    EXPECT_EQ(after.memory.flash, pristine.memory.flash);
+    EXPECT_EQ(after.memory.stats.flash_reads, pristine.memory.stats.flash_reads);
+    EXPECT_TRUE(armed.VerifyIntegrity().ok());
+  }
+}
+
+TEST(WatchdogTest, GuardedLoadReportsTheGoldenRunWithOrWithoutTheWatchdog) {
+  DeployedModel reference = DeployedModel::Deploy(SmallModel(34));
+  const ExecutionProfile expected = ProfileInference(reference);
+  for (const double headroom : {8.0, 0.0}) {
+    SCOPED_TRACE(headroom);
+    RecoveryPolicy policy;
+    policy.watchdog_headroom = headroom;
+    ExecutionProfile golden;
+    StatusOr<GuardedModel> gm = GuardedModel::Create(SmallModel(34), {}, policy, &golden);
+    ASSERT_TRUE(gm.ok()) << gm.status().ToString();
+    EXPECT_EQ(gm->deployed().watchdog_budget() != 0, headroom > 0.0);
+    EXPECT_EQ(golden.cycles, expected.cycles);
+    EXPECT_EQ(golden.alu_cycles, expected.alu_cycles);
+    EXPECT_EQ(golden.load_cycles, expected.load_cycles);
+    EXPECT_EQ(golden.sram_writes, expected.sram_writes);
+    EXPECT_EQ(gm->deployed().machine().cpu().cycles(), 0u);  // the golden run is undone
+  }
 }
 
 TEST(WatchdogTest, InfiniteLoopIsCaughtClassifiedAndRecovered) {
