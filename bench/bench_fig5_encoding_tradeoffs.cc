@@ -67,13 +67,14 @@ CellResult Measure(size_t in_dim, size_t n_out, double density, EncodingKind kin
   NeuroCModel model = MakeLayerModel(in_dim, n_out, density, kind, seed);
   CellResult r;
   r.kind = kind;
-  r.flash_bytes = DeployedModel::EstimateProgramBytes(model);
-  r.deployable = r.flash_bytes <= benchutil::kFlashBudget;
   MachineConfig config = Stm32f072rb().ToMachineConfig();
+  LinkedModel linked = LinkModel(model, config);
+  r.flash_bytes = linked.program_bytes;
+  r.deployable = r.flash_bytes <= benchutil::kFlashBudget;
   if (!r.deployable) {
     config.flash_size = 4 * 1024 * 1024;
   }
-  DeployedModel deployed = DeployedModel::Deploy(model, config);
+  DeployedModel deployed = DeployedModel::Deploy(std::move(linked), config);
   // The paper averages 100 timer runs; the simulator is cycle-deterministic (verified in
   // tests), so a single run is exact.
   r.latency_ms = deployed.MeasureLatencyMs();

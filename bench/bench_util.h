@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -35,8 +36,20 @@ struct ModelResult {
   bool converged = true;
 };
 
-// Trains an MLP baseline and measures its quantized deployment (latency measured only when
-// the model fits flash — exactly the paper's deployability rule).
+// Links `model` for the evaluation board and, when it fits the flash budget (exactly the
+// paper's deployability rule), deploys that link and measures its latency.
+template <typename Model>
+void MeasureDeployment(const Model& model, ModelResult& r) {
+  const MachineConfig config = Stm32f072rb().ToMachineConfig();
+  LinkedModel linked = LinkModel(model, config);
+  r.program_bytes = linked.program_bytes;
+  r.deployable = r.program_bytes <= kFlashBudget;
+  if (r.deployable) {
+    r.latency_ms = DeployedModel::Deploy(std::move(linked), config).MeasureLatencyMs();
+  }
+}
+
+// Trains an MLP baseline and measures its quantized deployment.
 inline ModelResult EvaluateMlp(const std::string& name, const Dataset& train,
                                const Dataset& test, const MlpSpec& spec,
                                const TrainConfig& cfg, uint64_t seed) {
@@ -50,12 +63,7 @@ inline ModelResult EvaluateMlp(const std::string& name, const Dataset& train,
   r.deployed_params = net.DeployedParameterCount();
   MlpModel model = MlpModel::FromTrained(net, train);
   r.quant_accuracy = model.EvaluateAccuracy(QuantizeInputs(test));
-  r.program_bytes = DeployedModel::EstimateProgramBytes(model);
-  r.deployable = r.program_bytes <= kFlashBudget;
-  if (r.deployable) {
-    DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-    r.latency_ms = deployed.MeasureLatencyMs();
-  }
+  MeasureDeployment(model, r);
   return r;
 }
 
@@ -78,12 +86,7 @@ inline ModelResult EvaluateNeuroC(const std::string& name, const Dataset& train,
   opt.encoding = encoding;
   NeuroCModel model = NeuroCModel::FromTrained(net, train, opt);
   r.quant_accuracy = model.EvaluateAccuracy(QuantizeInputs(test));
-  r.program_bytes = DeployedModel::EstimateProgramBytes(model);
-  r.deployable = r.program_bytes <= kFlashBudget;
-  if (r.deployable) {
-    DeployedModel deployed = DeployedModel::Deploy(model, Stm32f072rb().ToMachineConfig());
-    r.latency_ms = deployed.MeasureLatencyMs();
-  }
+  MeasureDeployment(model, r);
   return r;
 }
 

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::printf("trained model: %s, int8 accuracy %.2f%%\n", model.Summary().c_str(),
               100.0f * acc);
   std::printf("constant data: %zu B; estimated program memory: %zu B\n", model.WeightBytes(),
-              DeployedModel::EstimateProgramBytes(model));
+              LinkModel(model).program_bytes);
 
   const CSources sources = EmitCSources(model, "digits");
   std::filesystem::create_directories(out_dir);

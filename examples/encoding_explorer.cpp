@@ -4,6 +4,7 @@
 // interactive companion to paper Sec. 4.2/4.3.
 
 #include <cstdio>
+#include <utility>
 
 #include "src/core/adjacency_stats.h"
 #include "src/core/neuroc_model.h"
@@ -76,12 +77,13 @@ int main() {
     if (p.mcu_class != McuClass::kLow) {
       continue;
     }
-    if (DeployedModel::EstimateProgramBytes(model) > p.flash_bytes) {
+    LinkedModel linked = LinkModel(model, p.ToMachineConfig());
+    if (linked.program_bytes > p.flash_bytes) {
       std::printf("  %-14s does not fit (%u KB flash)\n", p.name.c_str(),
                   p.flash_bytes / 1024);
       continue;
     }
-    DeployedModel deployed = DeployedModel::Deploy(model, p.ToMachineConfig());
+    DeployedModel deployed = DeployedModel::Deploy(std::move(linked), p.ToMachineConfig());
     std::printf("  %-14s %7.2f ms @ %.0f MHz (%d flash wait state%s)\n", p.name.c_str(),
                 deployed.MeasureLatencyMs(), p.clock_hz / 1e6, p.flash_wait_states,
                 p.flash_wait_states == 1 ? "" : "s");

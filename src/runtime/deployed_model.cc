@@ -12,39 +12,17 @@
 
 namespace neuroc {
 
-namespace {
-
-constexpr uint32_t kScratchFlashBase = 0x08000000;
-
-uint32_t AlignUp4(uint32_t v) { return (v + 3u) & ~3u; }
-
-size_t EstimateFromParts(size_t code_bytes, size_t image_bytes) {
-  return code_bytes + image_bytes + kRuntimeOverheadBytes;
-}
-
-}  // namespace
-
-size_t DeployedModel::EstimateProgramBytes(const NeuroCModel& model) {
-  DeviceModelImage image = PackNeuroCModel(model, kScratchFlashBase, 0x20000000);
-  KernelSet kernels =
-      KernelSet::Build(image.variants, kScratchFlashBase, /*include_conv=*/false, &model);
-  return EstimateFromParts(kernels.code_bytes(), image.flash.size());
-}
-
-size_t DeployedModel::EstimateProgramBytes(const MlpModel& model) {
-  DeviceModelImage image = PackMlpModel(model, kScratchFlashBase, 0x20000000);
-  KernelSet kernels = KernelSet::Build(image.variants, kScratchFlashBase);
-  return EstimateFromParts(kernels.code_bytes(), image.flash.size());
-}
-
-StatusOr<DeployedModel> DeployedModel::DeployImage(DeviceModelImage image, KernelSet kernels,
-                                                   const MachineConfig& config,
-                                                   uint32_t image_base) {
+StatusOr<DeployedModel> DeployedModel::TryDeploy(LinkedModel linked,
+                                                 const MachineConfig& config) {
+  // A link is placed for one memory map; loading it anywhere else would misplace it.
+  NEUROC_CHECK(linked.kernels.program().base_addr == config.flash_base);
+  const KernelSet& kernels = linked.kernels;
+  const DeviceModelImage& image = linked.image;
   DeployedModel dm;
   dm.machine_ = std::make_unique<Machine>(config);
   dm.report_.code_bytes = kernels.code_bytes();
   dm.report_.image_bytes = image.flash.size();
-  dm.report_.program_bytes = EstimateFromParts(kernels.code_bytes(), image.flash.size());
+  dm.report_.program_bytes = linked.program_bytes;
   dm.report_.ram_bytes = image.ram_bytes_used;
   if (dm.report_.program_bytes > config.flash_size) {
     return Status(ErrorCode::kResourceExhausted,
@@ -54,113 +32,33 @@ StatusOr<DeployedModel> DeployedModel::DeployImage(DeviceModelImage image, Kerne
                       std::to_string(image.flash.size()) + " B image + " +
                       std::to_string(kRuntimeOverheadBytes) + " B runtime) of " +
                       std::to_string(config.flash_size) +
-                      " B flash; check EstimateProgramBytes before deploying");
+                      " B flash; check the link's program_bytes before deploying");
   }
   if (image.ram_bytes_used > config.ram_size - 512) {
     return Status(ErrorCode::kResourceExhausted,
                   "activation plan leaves no room for the stack");
   }
   dm.machine_->LoadBytes(kernels.program().base_addr, kernels.program().bytes);
-  dm.machine_->LoadBytes(image_base, image.flash);
+  dm.machine_->LoadBytes(image.flash_data_base, image.flash);
   for (size_t k = 0; k < image.num_layers(); ++k) {
     dm.layer_entries_.push_back(kernels.EntryFor(image.variants[k]));
   }
-  dm.image_base_ = image_base;
   dm.kernel_crc_ = Crc32(std::span<const uint8_t>(kernels.program().bytes));
-  dm.image_ = std::move(image);
-  dm.kernels_ = std::move(kernels);
+  dm.image_ = std::move(linked.image);
+  dm.kernels_ = std::move(linked.kernels);
   // Pristine machine snapshot: everything is loaded, nothing has executed. Scrub() and
   // the recovery ladder restore from this instead of rewriting sections piecemeal.
   dm.pristine_ = dm.machine_->Snapshot();
   return dm;
 }
 
-StatusOr<DeployedModel> DeployedModel::TryDeploy(const NeuroCModel& model,
-                                                 const MachineConfig& config) {
-  // Kernels first (at the reset address, like a real linker script), image after.
-  KernelSet probe = KernelSet::Build(
-      PackNeuroCModel(model, kScratchFlashBase, config.ram_base).variants, config.flash_base,
-      /*include_conv=*/false, &model);
-  const uint32_t image_base = AlignUp4(config.flash_base +
-                                       static_cast<uint32_t>(probe.code_bytes()) +
-                                       static_cast<uint32_t>(kRuntimeOverheadBytes));
-  DeviceModelImage image = PackNeuroCModel(model, image_base, config.ram_base);
-  return DeployImage(std::move(image), std::move(probe), config, image_base);
-}
-
-StatusOr<DeployedModel> DeployedModel::TryDeployWithFallback(const NeuroCModel& model,
-                                                             const MachineConfig& config,
-                                                             DeployFallbackReport* report) {
-  DeployFallbackReport local;
-  DeployFallbackReport& r = report != nullptr ? *report : local;
-  r = DeployFallbackReport{};
-  r.requested = model.layers().front().encoding->kind();
-  r.selected = r.requested;
-  r.flash_budget = config.flash_size;
-  r.requested_bytes = EstimateProgramBytes(model);
-  r.selected_bytes = r.requested_bytes;
-  if (r.requested_bytes <= config.flash_size) {
-    return TryDeploy(model, config);
-  }
-  r.fell_back = true;
-  r.overflow = Status(
-      ErrorCode::kResourceExhausted,
-      std::string("flash budget overflow: ") + EncodingKindName(r.requested) +
-          " image needs " + std::to_string(r.requested_bytes) + " B of " +
-          std::to_string(config.flash_size) + " B flash; falling back");
-  // Candidates in descending expected speed: the guard exists because the caller asked for
-  // the fastest scheme, so "best fitting" is the fastest one that still fits.
-  for (const EncodingKind kind : {EncodingKind::kDelta, EncodingKind::kMixed,
-                                  EncodingKind::kCsc, EncodingKind::kBlock}) {
-    const NeuroCModel candidate = ReencodeModel(model, kind);
-    const size_t bytes = EstimateProgramBytes(candidate);
-    if (bytes <= config.flash_size) {
-      r.selected = kind;
-      r.selected_bytes = bytes;
-      return TryDeploy(candidate, config);
-    }
-  }
-  return Status(ErrorCode::kResourceExhausted,
-                "no encoding fits the flash budget: " +
-                    std::to_string(r.requested_bytes) + " B requested (" +
-                    EncodingKindName(r.requested) + ") vs " +
-                    std::to_string(config.flash_size) + " B flash");
-}
-
-StatusOr<DeployedModel> DeployedModel::TryDeploy(const MlpModel& model,
-                                                 const MachineConfig& config) {
-  KernelSet probe = KernelSet::Build(
-      PackMlpModel(model, kScratchFlashBase, config.ram_base).variants, config.flash_base);
-  const uint32_t image_base = AlignUp4(config.flash_base +
-                                       static_cast<uint32_t>(probe.code_bytes()) +
-                                       static_cast<uint32_t>(kRuntimeOverheadBytes));
-  DeviceModelImage image = PackMlpModel(model, image_base, config.ram_base);
-  return DeployImage(std::move(image), std::move(probe), config, image_base);
-}
-
-namespace {
-
-[[noreturn]] void AbortOnStatus(const Status& status) {
+void DeployedModel::AbortOnStatus(const Status& status) {
   if (status.fault() != nullptr) {
     std::fprintf(stderr, "%s\n", status.fault()->Describe().c_str());
   } else {
     std::fprintf(stderr, "deploy failed: %s\n", status.ToString().c_str());
   }
   std::abort();
-}
-
-}  // namespace
-
-DeployedModel DeployedModel::Deploy(const NeuroCModel& model, const MachineConfig& config) {
-  StatusOr<DeployedModel> dm = TryDeploy(model, config);
-  if (!dm.ok()) AbortOnStatus(dm.status());
-  return std::move(*dm);
-}
-
-DeployedModel DeployedModel::Deploy(const MlpModel& model, const MachineConfig& config) {
-  StatusOr<DeployedModel> dm = TryDeploy(model, config);
-  if (!dm.ok()) AbortOnStatus(dm.status());
-  return std::move(*dm);
 }
 
 uint32_t DeployedModel::activation_top_addr() const {
@@ -247,7 +145,7 @@ std::vector<std::string> DeployedModel::CorruptedSections() const {
   check("kernel_code", kernels_.program().base_addr,
         static_cast<uint32_t>(kernels_.program().bytes.size()), kernel_crc_);
   for (const ImageSection& s : image_.sections) {
-    check(s.name, image_base_ + s.offset, s.size, s.crc32);
+    check(s.name, image_base() + s.offset, s.size, s.crc32);
   }
   return bad;
 }

@@ -11,13 +11,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/core/mlp_model.h"
 #include "src/core/model_image.h"
-#include "src/core/neuroc_model.h"
 #include "src/kernels/kernel_set.h"
+#include "src/runtime/link.h"
 #include "src/sim/machine.h"
 
 namespace neuroc {
@@ -34,48 +34,28 @@ struct DeploymentReport {
   std::vector<uint64_t> layer_cycles;  // per-layer split of the most recent inference
 };
 
-// What the flash-budget guard did: whether the requested model overflowed flash, the
-// structured overflow status naming the shortfall, and which encoding was deployed instead.
-struct DeployFallbackReport {
-  bool fell_back = false;
-  EncodingKind requested = EncodingKind::kBlock;   // first layer's encoding as requested
-  EncodingKind selected = EncodingKind::kBlock;    // encoding actually deployed
-  size_t requested_bytes = 0;                      // estimate for the requested model
-  size_t selected_bytes = 0;                       // estimate for the deployed model
-  size_t flash_budget = 0;
-  Status overflow = Status::Ok();  // kResourceExhausted naming the overflow when fell_back
-};
-
 class DeployedModel {
  public:
-  // Computes the program-memory footprint without requiring the model to fit the device
-  // (used to classify the paper's "non-deployable" configurations).
-  static size_t EstimateProgramBytes(const NeuroCModel& model);
-  static size_t EstimateProgramBytes(const MlpModel& model);
-
-  // Places the model on a simulated machine. Returns kResourceExhausted when the model does
-  // not fit flash/RAM instead of aborting, so callers (architecture search, campaigns) can
-  // skip infeasible configurations.
-  static StatusOr<DeployedModel> TryDeploy(const NeuroCModel& model,
+  // Places a linked model on a simulated machine whose memory map (flash and RAM bases)
+  // is the one it was linked for. Returns kResourceExhausted when the model does not fit
+  // flash/RAM instead of aborting, so callers (architecture search, campaigns) can skip
+  // infeasible configurations.
+  static StatusOr<DeployedModel> TryDeploy(LinkedModel linked,
                                            const MachineConfig& config = {});
-  static StatusOr<DeployedModel> TryDeploy(const MlpModel& model,
-                                           const MachineConfig& config = {});
+  // Links `model` (a NeuroCModel or an MlpModel) for `config` and deploys it.
+  template <typename Model>
+  static StatusOr<DeployedModel> TryDeploy(const Model& model, const MachineConfig& config = {}) {
+    return TryDeploy(LinkModel(model, config), config);
+  }
 
-  // Flash-budget guard: deploys `model` if it fits the platform flash; otherwise reports
-  // the overflow as a structured kResourceExhausted Status (in `report->overflow`) and
-  // falls back to the best fitting encoding — candidates tried in descending expected
-  // speed order (delta, mixed, csc, block), first fit wins. Fails only when no encoding
-  // fits. Primarily guards kUnrolled, whose flash cost grows with every nonzero compiled
-  // into the kernel text.
-  static StatusOr<DeployedModel> TryDeployWithFallback(const NeuroCModel& model,
-                                                       const MachineConfig& config = {},
-                                                       DeployFallbackReport* report =
-                                                           nullptr);
-
-  // Legacy abort-on-failure wrappers around TryDeploy; check EstimateProgramBytes against
-  // the platform budget first.
-  static DeployedModel Deploy(const NeuroCModel& model, const MachineConfig& config = {});
-  static DeployedModel Deploy(const MlpModel& model, const MachineConfig& config = {});
+  // Legacy abort-on-failure wrapper around TryDeploy (of a model or a LinkedModel); check
+  // the link's program_bytes against the platform budget first.
+  template <typename Deployable>
+  static DeployedModel Deploy(Deployable&& what, const MachineConfig& config = {}) {
+    StatusOr<DeployedModel> dm = TryDeploy(std::forward<Deployable>(what), config);
+    if (!dm.ok()) AbortOnStatus(dm.status());
+    return std::move(*dm);
+  }
 
   // Runs one inference on the simulator and returns the arg-max class, or the FaultReport
   // Status when the guest faults mid-inference (corrupted kernel/descriptor/weights, budget
@@ -134,7 +114,7 @@ class DeployedModel {
   // Pristine packed image (host copy) — sections carry the pack-time CRC-32 digests.
   const DeviceModelImage& image() const { return image_; }
   // Device address the packed image is loaded at.
-  uint32_t image_base() const { return image_base_; }
+  uint32_t image_base() const { return image_.flash_data_base; }
   size_t input_dim() const { return image_.input_dim; }
   size_t output_dim() const { return image_.output_dim; }
   size_t num_layers() const { return image_.num_layers(); }
@@ -149,16 +129,14 @@ class DeployedModel {
 
  private:
   DeployedModel() = default;
-  static StatusOr<DeployedModel> DeployImage(DeviceModelImage image, KernelSet kernels,
-                                             const MachineConfig& config,
-                                             uint32_t image_base);
+  // Prints the FaultReport diagnostic (or the status) and aborts.
+  [[noreturn]] static void AbortOnStatus(const Status& status);
 
   std::unique_ptr<Machine> machine_;  // stable address; KernelSet/image refer to it
   DeviceModelImage image_;
   KernelSet kernels_;
   std::vector<uint32_t> layer_entries_;
   DeploymentReport report_;
-  uint32_t image_base_ = 0;
   uint32_t kernel_crc_ = 0;  // digest of the assembled kernel section, taken at deploy
   MachineSnapshot pristine_;  // machine state right after load, before any execution
   uint64_t watchdog_budget_ = 0;  // per-inference cycle budget; 0 = unsupervised

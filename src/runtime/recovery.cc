@@ -29,25 +29,34 @@ StatusOr<GuardedModel> GuardedModel::Create(NeuroCModel model,
   gm.config_ = config;
   gm.policy_ = policy;
   gm.primary_encoding_ = gm.model_.layers().front().encoding->kind();
-  gm.active_encoding_ = gm.primary_encoding_;
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(gm.model_, config);
+  Status deployed = gm.DeployAndArm(gm.model_, golden);
+  if (!deployed.ok()) {
+    return deployed;
+  }
+  return gm;
+}
+
+Status GuardedModel::DeployAndArm(const NeuroCModel& model, ExecutionProfile* golden) {
+  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(model, config_);
   if (!dm.ok()) {
     return dm.status();
   }
-  gm.dm_ = std::make_unique<DeployedModel>(std::move(*dm));
-  if (policy.watchdog_headroom > 0.0) {
-    Status armed = gm.dm_->ArmWatchdog(policy.watchdog_headroom, golden);
+  auto fresh = std::make_unique<DeployedModel>(std::move(*dm));
+  if (policy_.watchdog_headroom > 0.0) {
+    Status armed = fresh->ArmWatchdog(policy_.watchdog_headroom, golden);
     if (!armed.ok()) {
       return armed;
     }
   } else if (golden != nullptr) {
-    StatusOr<ExecutionProfile> run = RunGoldenInference(*gm.dm_);
+    StatusOr<ExecutionProfile> run = RunGoldenInference(*fresh);
     if (!run.ok()) {
       return run.status();
     }
     *golden = *run;
   }
-  return gm;
+  dm_ = std::move(fresh);
+  active_encoding_ = model.layers().front().encoding->kind();
+  return Status::Ok();
 }
 
 Status GuardedModel::ResetToPrimary() {
@@ -56,38 +65,7 @@ Status GuardedModel::ResetToPrimary() {
   }
   // Rebuild exactly what Create built, so post-reset behaviour is indistinguishable from
   // a fresh GuardedModel — the determinism contract campaign trials rely on.
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(model_, config_);
-  if (!dm.ok()) {
-    return dm.status();
-  }
-  auto fresh = std::make_unique<DeployedModel>(std::move(*dm));
-  if (policy_.watchdog_headroom > 0.0) {
-    Status armed = fresh->ArmWatchdog(policy_.watchdog_headroom);
-    if (!armed.ok()) {
-      return armed;
-    }
-  }
-  dm_ = std::move(fresh);
-  active_encoding_ = primary_encoding_;
-  return Status::Ok();
-}
-
-Status GuardedModel::Redeploy(EncodingKind kind) {
-  const NeuroCModel candidate = ReencodeModel(model_, kind);
-  StatusOr<DeployedModel> dm = DeployedModel::TryDeploy(candidate, config_);
-  if (!dm.ok()) {
-    return dm.status();
-  }
-  auto fresh = std::make_unique<DeployedModel>(std::move(*dm));
-  if (policy_.watchdog_headroom > 0.0) {
-    Status armed = fresh->ArmWatchdog(policy_.watchdog_headroom);
-    if (!armed.ok()) {
-      return armed;
-    }
-  }
-  dm_ = std::move(fresh);
-  active_encoding_ = kind;
-  return Status::Ok();
+  return DeployAndArm(model_);
 }
 
 // One attempt from the current machine state. Single mode is one supervised TryPredict;
@@ -185,14 +163,8 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
     }
   }
   if (policy_.redeploy) {
-    // Fallback order mirrors TryDeployWithFallback: descending expected speed, skipping
-    // whatever is currently deployed.
-    for (const EncodingKind kind : {EncodingKind::kDelta, EncodingKind::kMixed,
-                                    EncodingKind::kCsc, EncodingKind::kBlock}) {
-      if (kind == active_encoding_) {
-        continue;
-      }
-      if (!Redeploy(kind).ok()) {
+    for (const EncodingKind kind : kFallbackEncodings) {
+      if (kind == active_encoding_ || !DeployAndArm(ReencodeModel(model_, kind)).ok()) {
         continue;
       }
       reg.GetCounter("recovery.redeploy").Add(1);
@@ -205,7 +177,7 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
         gr.resolved_by = RecoveryRung::kRedeploy;
         return gr;
       }
-      break;  // one fallback deployment per ladder walk, like TryDeployWithFallback
+      break;  // one fallback deployment per ladder walk, like LinkWithFallback
     }
   }
   reg.GetCounter("recovery.permanent_failure").Add(1);

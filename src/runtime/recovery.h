@@ -20,9 +20,10 @@
 //          and SRAM-resident faults.
 //       2. kScrubRetry   — attribute flash damage via the per-section CRCs, restore the
 //          full pristine snapshot (flash included) and retry. Fixes flash corruption.
-//       3. kRedeploy     — re-encode the model with the next encoding from the fallback
-//          order (delta, mixed, csc, block — skipping the active one), deploy fresh and
-//          retry. The last resort when a scrubbed machine still faults.
+//       3. kRedeploy     — re-encode the model with the next encoding from the flash-budget
+//          fallback order (kFallbackEncodings, src/runtime/link.h — skipping the active
+//          one), deploy fresh and retry. The last resort when a scrubbed machine still
+//          faults.
 //       4. kPermanentFailure — structured give-up; the result carries the first fault.
 //
 // Every rung taken is counted in the MetricsRegistry (recovery.*). All decisions are
@@ -123,7 +124,11 @@ class GuardedModel {
   // is the simulated cycles the attempt consumed (both runs in dual mode — restores
   // rewind the machine's cycle counter, so callers cannot reconstruct this themselves).
   StatusOr<int> RunOnce(std::span<const int8_t> input, bool* mismatch, uint64_t* elapsed);
-  Status Redeploy(EncodingKind kind);
+  // The one deploy-and-arm path (Create, ResetToPrimary and the kRedeploy rung): deploys
+  // `model`, arms the watchdog per the policy (or, with the watchdog disabled, runs the
+  // golden inference only when `golden` asks for it) and, on success, makes the fresh
+  // deployment live with `model`'s encoding active. On failure the live one is kept.
+  Status DeployAndArm(const NeuroCModel& model, ExecutionProfile* golden = nullptr);
 
   NeuroCModel model_;      // host copy, re-encoded on the kRedeploy rung
   MachineConfig config_;

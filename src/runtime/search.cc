@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -101,13 +102,14 @@ SearchResult RandomSearch(const Dataset& train, const Dataset& validation,
       Train(net, train, validation, train_cfg);
       NeuroCModel model = NeuroCModel::FromTrained(net, train);
       cand.accuracy = model.EvaluateAccuracy(qval);
-      cand.program_bytes = DeployedModel::EstimateProgramBytes(model);
+      const MachineConfig config = platform.ToMachineConfig();
+      LinkedModel linked = LinkModel(model, config);
+      cand.program_bytes = linked.program_bytes;
       if (cand.program_bytes <= constraints.max_program_bytes &&
           cand.program_bytes <= platform.flash_bytes) {
         // Fault-isolated: a degenerate candidate that fails to deploy or faults on the
         // simulator is recorded as infeasible with a reason instead of killing the search.
-        StatusOr<DeployedModel> deployed =
-            DeployedModel::TryDeploy(model, platform.ToMachineConfig());
+        StatusOr<DeployedModel> deployed = DeployedModel::TryDeploy(std::move(linked), config);
         if (deployed.ok()) {
           StatusOr<double> latency = deployed->TryMeasureLatencyMs();
           if (latency.ok()) {

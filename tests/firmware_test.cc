@@ -93,18 +93,23 @@ TEST(FirmwareTest, ModelFirmwareMatchesSimulatorMemory) {
   testutil::TestModelSpec spec;
   spec.dims = {64, 16};
   spec.final_relu = true;
-  NeuroCModel model = testutil::MakeTestModel(21, spec);
-
-  const std::string hex = FirmwareHexForModel(model);
-  auto chunks = ParseIntelHex(hex);
-  ASSERT_TRUE(chunks.has_value());
-  ASSERT_GE(chunks->size(), 1u);
-
-  DeployedModel deployed = DeployedModel::Deploy(model);
-  for (const FirmwareChunk& chunk : *chunks) {
-    std::vector<uint8_t> actual(chunk.bytes.size());
-    deployed.machine().memory().HostRead(chunk.addr, actual);
-    EXPECT_EQ(actual, chunk.bytes) << "chunk at 0x" << std::hex << chunk.addr;
+  std::vector<testutil::LinkCase> cases = testutil::MakeLinkCases();
+  cases.push_back({"64x16", testutil::MakeTestModel(21, spec)});
+  for (const testutil::LinkCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::visit(
+        [](const auto& model) {
+          auto chunks = ParseIntelHex(FirmwareHex(LinkModel(model)));
+          ASSERT_TRUE(chunks.has_value());
+          ASSERT_GE(chunks->size(), 1u);
+          DeployedModel deployed = DeployedModel::Deploy(model);
+          for (const FirmwareChunk& chunk : *chunks) {
+            std::vector<uint8_t> actual(chunk.bytes.size());
+            deployed.machine().memory().HostRead(chunk.addr, actual);
+            EXPECT_EQ(actual, chunk.bytes) << "chunk at 0x" << std::hex << chunk.addr;
+          }
+        },
+        c.model);
   }
 }
 

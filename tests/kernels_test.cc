@@ -7,6 +7,7 @@
 #include "src/kernels/kernel_set.h"
 #include "src/kernels/kernel_sources.h"
 #include "src/runtime/deployed_model.h"
+#include "tests/test_util.h"
 
 namespace neuroc {
 namespace {
@@ -549,17 +550,66 @@ TEST(DeployedModelTest, ReportAccountsCodeImageAndOverhead) {
   spec.out_dim = 20;
   std::vector<QuantNeuroCLayer> layers;
   layers.push_back(MakeSyntheticNeuroCLayer(spec, rng));
-  NeuroCModel model = NeuroCModel::FromLayers(std::move(layers));
-  const size_t estimate = DeployedModel::EstimateProgramBytes(model);
-  DeployedModel deployed = DeployedModel::Deploy(model);
-  EXPECT_EQ(deployed.report().program_bytes, estimate);
-  EXPECT_EQ(deployed.report().program_bytes,
-            deployed.report().code_bytes + deployed.report().image_bytes +
-                kRuntimeOverheadBytes);
-  EXPECT_GT(deployed.report().ram_bytes, 0u);
-  deployed.MeasureLatencyMs();
-  EXPECT_GT(deployed.report().cycles_per_inference, 0u);
-  EXPECT_GT(deployed.report().latency_ms, 0.0);
+  std::vector<testutil::LinkCase> cases = testutil::MakeLinkCases();
+  cases.push_back({"100x20", NeuroCModel::FromLayers(std::move(layers))});
+  for (const testutil::LinkCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::visit(
+        [](const auto& model) {
+          const LinkedModel linked = LinkModel(model);
+          DeployedModel deployed = DeployedModel::Deploy(model);
+          EXPECT_EQ(deployed.report().program_bytes, linked.program_bytes);
+          EXPECT_EQ(deployed.report().program_bytes,
+                    deployed.report().code_bytes + deployed.report().image_bytes +
+                        kRuntimeOverheadBytes);
+          EXPECT_EQ(deployed.image_base(), linked.image.flash_data_base);
+          EXPECT_GT(deployed.report().ram_bytes, 0u);
+          deployed.MeasureLatencyMs();
+          EXPECT_GT(deployed.report().cycles_per_inference, 0u);
+          EXPECT_GT(deployed.report().latency_ms, 0.0);
+        },
+        c.model);
+  }
+}
+
+TEST(DeployedModelTest, FlashImageMatchesPinnedDigests) {
+  // The linked flash layout of the deploy-layer model set: kernel code at the reset
+  // address, the runtime gap, then the packed image. Recorded while the layout was still
+  // computed separately by the estimate, deploy and hex-export paths.
+  struct Pin {
+    size_t code_bytes;
+    uint32_t image_base;
+    size_t program_bytes;
+    uint32_t code_crc;
+    uint32_t image_crc;
+  };
+  const Pin pins[] = {
+      {206, 0x080003d0, 1710, 0x80b9fa8e, 0x6cfff254},      // 64-csc
+      {390, 0x08000488, 1910, 0xdb118a61, 0x12950533},      // 64-delta
+      {334, 0x08000450, 1842, 0x87f0eacc, 0x9c68c59f},      // 64-mixed
+      {414, 0x080004a0, 1934, 0xe17f20ff, 0xc60393c5},      // 64-block
+      {2066, 0x08000b14, 3206, 0x844ac16d, 0xbc481c21},     // 64-unrolled
+      {416, 0x080004a0, 26996, 0x42c08011, 0x002f8da6},     // 784-csc
+      {390, 0x08000488, 14578, 0xdb118a61, 0xc2bff0fa},     // 784-delta
+      {540, 0x0800051c, 26744, 0xc6fbcfa2, 0x287d3044},     // 784-mixed
+      {414, 0x080004a0, 15498, 0xe17f20ff, 0x15dc5f33},     // 784-block
+      {76234, 0x08012ccc, 77854, 0x744544d3, 0x1ab6455a},   // 784-unrolled
+      {1502, 0x080008e0, 3614, 0x5f050c2a, 0x7546bcd9},     // mixed-layers
+      {140, 0x0800038c, 5652, 0x351652a9, 0xe7ca8c8c},      // mlp
+  };
+  const std::vector<testutil::LinkCase> cases = testutil::MakeLinkCases();
+  ASSERT_EQ(cases.size(), std::size(pins));
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].name);
+    StatusOr<DeployedModel> dm = std::visit(
+        [](const auto& model) { return DeployedModel::TryDeploy(model); }, cases[i].model);
+    ASSERT_TRUE(dm.ok()) << dm.status().ToString();
+    EXPECT_EQ(dm->report().code_bytes, pins[i].code_bytes);
+    EXPECT_EQ(dm->image_base(), pins[i].image_base);
+    EXPECT_EQ(dm->report().program_bytes, pins[i].program_bytes);
+    EXPECT_EQ(Crc32(std::span<const uint8_t>(dm->kernel_program().bytes)), pins[i].code_crc);
+    EXPECT_EQ(Crc32(std::span<const uint8_t>(dm->image().flash)), pins[i].image_crc);
+  }
 }
 
 TEST(DeployedModelTest, OversizedModelAbortsAtDeploy) {
@@ -578,7 +628,7 @@ TEST(DeployedModelTest, OversizedModelAbortsAtDeploy) {
   layers.push_back(MakeSyntheticNeuroCLayer(l0, rng));
   layers.push_back(MakeSyntheticNeuroCLayer(l1, rng));
   NeuroCModel model = NeuroCModel::FromLayers(std::move(layers));
-  EXPECT_GT(DeployedModel::EstimateProgramBytes(model), 128u * 1024);
+  EXPECT_GT(LinkModel(model).program_bytes, 128u * 1024);
   EXPECT_DEATH(DeployedModel::Deploy(model), "does not fit program memory");
 }
 

@@ -8,6 +8,7 @@
 #include "src/data/synth.h"
 #include "src/runtime/c_emitter.h"
 #include "src/runtime/deployed_model.h"
+#include "src/runtime/firmware_image.h"
 #include "src/runtime/platform.h"
 #include "src/train/trainer.h"
 #include "tests/test_util.h"
@@ -152,9 +153,10 @@ NeuroCModel MakeWideLayerModel(EncodingKind kind, size_t in_dim, size_t out_dim,
 TEST(DeployFallbackTest, FittingModelDeploysWithoutFallback) {
   NeuroCModel model = MakeSmallModel(3, EncodingKind::kUnrolled);
   DeployFallbackReport report;
-  StatusOr<DeployedModel> deployed = DeployedModel::TryDeployWithFallback(model, {}, &report);
-  ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
+  StatusOr<LinkedModel> linked = LinkWithFallback(model, {}, &report);
+  ASSERT_TRUE(linked.ok()) << linked.status().ToString();
   EXPECT_FALSE(report.fell_back);
+  EXPECT_EQ(report.selected_bytes, LinkModel(model).program_bytes);
   EXPECT_EQ(report.requested, EncodingKind::kUnrolled);
   EXPECT_EQ(report.selected, EncodingKind::kUnrolled);
   EXPECT_TRUE(report.overflow.ok());
@@ -165,7 +167,10 @@ TEST(DeployFallbackTest, OversizedUnrolledFallsBackToBestFittingEncoding) {
   // but ~25 KB as a delta stream.
   NeuroCModel model = MakeWideLayerModel(EncodingKind::kUnrolled, 784, 256, 0.115);
   DeployFallbackReport report;
-  StatusOr<DeployedModel> deployed = DeployedModel::TryDeployWithFallback(model, {}, &report);
+  StatusOr<LinkedModel> linked = LinkWithFallback(model, {}, &report);
+  ASSERT_TRUE(linked.ok()) << linked.status().ToString();
+  EXPECT_EQ(linked->program_bytes, report.selected_bytes);
+  StatusOr<DeployedModel> deployed = DeployedModel::TryDeploy(std::move(*linked));
   ASSERT_TRUE(deployed.ok()) << deployed.status().ToString();
   EXPECT_TRUE(report.fell_back);
   EXPECT_EQ(report.requested, EncodingKind::kUnrolled);
@@ -191,11 +196,30 @@ TEST(DeployFallbackTest, NothingFitsReportsResourceExhausted) {
   MachineConfig tiny;
   tiny.flash_size = 4 * 1024;
   DeployFallbackReport report;
-  StatusOr<DeployedModel> deployed =
-      DeployedModel::TryDeployWithFallback(model, tiny, &report);
-  ASSERT_FALSE(deployed.ok());
-  EXPECT_EQ(deployed.status().code(), ErrorCode::kResourceExhausted);
-  EXPECT_NE(deployed.status().ToString().find("no encoding fits"), std::string::npos);
+  StatusOr<LinkedModel> linked = LinkWithFallback(model, tiny, &report);
+  ASSERT_FALSE(linked.ok());
+  EXPECT_EQ(linked.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(linked.status().ToString().find("no encoding fits"), std::string::npos);
+}
+
+TEST(DeployFallbackTest, HexExportOfOversizedModelStaysInFlash) {
+  // The hex export goes through the same fit-and-fallback as deployment: the oversized
+  // unrolled model exports its delta fallback, every byte inside the device's flash.
+  NeuroCModel model = MakeWideLayerModel(EncodingKind::kUnrolled, 784, 256, 0.115);
+  const MachineConfig config;
+  StatusOr<LinkedModel> linked = LinkWithFallback(model, config);
+  ASSERT_TRUE(linked.ok()) << linked.status().ToString();
+  auto chunks = ParseIntelHex(FirmwareHex(*linked));
+  ASSERT_TRUE(chunks.has_value());
+  ASSERT_FALSE(chunks->empty());
+  DeployedModel deployed = DeployedModel::Deploy(ReencodeModel(model, EncodingKind::kDelta));
+  for (const FirmwareChunk& chunk : *chunks) {
+    EXPECT_GE(chunk.addr, config.flash_base);
+    EXPECT_LE(chunk.addr + chunk.bytes.size(), config.flash_base + config.flash_size);
+    std::vector<uint8_t> actual(chunk.bytes.size());
+    deployed.machine().memory().HostRead(chunk.addr, actual);
+    EXPECT_EQ(actual, chunk.bytes) << "chunk at 0x" << std::hex << chunk.addr;
+  }
 }
 
 // ---------------------------------------------------------------------------

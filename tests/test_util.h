@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -44,6 +46,50 @@ inline NeuroCModel MakeTestModel(uint64_t seed, const TestModelSpec& spec = {}) 
     layers.push_back(MakeSyntheticNeuroCLayer(layer, rng));
   }
   return NeuroCModel::FromLayers(std::move(layers));
+}
+
+// The deploy-layer model set that pins the linked flash layout: each of the five encodings
+// at 64-32-10 and at 784-128-10 (density 0.12), a model that mixes encodings per layer, and
+// a dense MLP baseline.
+struct LinkCase {
+  std::string name;
+  std::variant<NeuroCModel, MlpModel> model;
+};
+
+inline std::vector<LinkCase> MakeLinkCases() {
+  std::vector<LinkCase> cases;
+  uint64_t seed = 60;
+  for (const std::vector<size_t>& dims :
+       {std::vector<size_t>{64, 32, 10}, std::vector<size_t>{784, 128, 10}}) {
+    for (EncodingKind kind : kAllEncodingKinds) {
+      TestModelSpec spec;
+      spec.dims = dims;
+      spec.density = 0.12;
+      spec.encoding = kind;
+      cases.push_back({std::to_string(dims[0]) + "-" + EncodingKindName(kind),
+                       MakeTestModel(seed++, spec)});
+    }
+  }
+  Rng rng(seed++);
+  std::vector<QuantNeuroCLayer> mixed;
+  const EncodingKind kinds[] = {EncodingKind::kDelta, EncodingKind::kUnrolled,
+                                EncodingKind::kCsc};
+  const size_t dims[] = {100, 33, 17, 10};
+  for (size_t i = 0; i < 3; ++i) {
+    SyntheticNeuroCLayerSpec layer;
+    layer.in_dim = dims[i];
+    layer.out_dim = dims[i + 1];
+    layer.density = 0.2;
+    layer.encoding = kinds[i];
+    layer.relu = i < 2;
+    mixed.push_back(MakeSyntheticNeuroCLayer(layer, rng));
+  }
+  cases.push_back({"mixed-layers", NeuroCModel::FromLayers(std::move(mixed))});
+  std::vector<QuantDenseLayer> dense;
+  dense.push_back(MakeSyntheticDenseLayer(128, 32, true, 10, rng));
+  dense.push_back(MakeSyntheticDenseLayer(32, 10, false, 9, rng));
+  cases.push_back({"mlp", MlpModel::FromLayers(std::move(dense))});
+  return cases;
 }
 
 // Records every retire callback verbatim, so two runs can be compared observation by

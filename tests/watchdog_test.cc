@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/core/synthetic.h"
 #include "src/isa/assembler.h"
 #include "src/obs/registry.h"
@@ -184,6 +187,52 @@ TEST(WatchdogTest, RecoveryLadderResolvesWatchdogFaultViaScrubRung) {
   EXPECT_EQ(gr.resolved_by, RecoveryRung::kScrubRetry);
   EXPECT_GT(gr.detection_cycles, 0u);
   EXPECT_EQ(gr.retries, 2);
+}
+
+// Create, ResetToPrimary and the kRedeploy rung share one deploy-and-arm path: whichever
+// of them produced the live deployment, its flash, pristine snapshot and watchdog budget
+// are those of a fresh GuardedModel::Create of the same encoding.
+TEST(WatchdogTest, RedeployAndResetMatchAFreshGuardedLoad) {
+  RecoveryPolicy policy;
+  policy.snapshot_retry = false;
+  policy.scrub_retry = false;  // a flash fault goes straight to the redeploy rung
+  const auto flash_crc = [](DeployedModel& dm) {
+    const MachineConfig& config = dm.machine().config();
+    std::vector<uint8_t> flash(config.flash_size);
+    dm.machine().memory().HostRead(config.flash_base, std::span<uint8_t>(flash));
+    return Crc32(std::span<const uint8_t>(flash));
+  };
+  const auto expect_fresh = [&](GuardedModel& live, NeuroCModel model) {
+    StatusOr<GuardedModel> fresh = GuardedModel::Create(std::move(model), {}, policy);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(flash_crc(live.deployed()), flash_crc(fresh->deployed()));
+    EXPECT_EQ(live.deployed().watchdog_budget(), fresh->deployed().watchdog_budget());
+    EXPECT_EQ(live.deployed().pristine_snapshot().memory.flash,
+              fresh->deployed().pristine_snapshot().memory.flash);
+  };
+
+  StatusOr<GuardedModel> guarded = GuardedModel::Create(SmallModel(35), {}, policy);
+  ASSERT_TRUE(guarded.ok());
+  GuardedModel& gm = *guarded;
+  Rng rng(6);
+  const std::vector<int8_t> input = MakeRandomInput(gm.deployed().input_dim(), rng);
+  FirstPcProbe probe;
+  gm.deployed().machine().cpu().set_probe(&probe);
+  gm.deployed().Predict(input);
+  gm.deployed().machine().cpu().set_probe(nullptr);
+  gm.deployed().Scrub();
+  const uint8_t spin[2] = {0xFE, 0xE7};
+  gm.deployed().machine().memory().HostWrite(probe.first, spin);
+
+  const GuardedResult gr = gm.Predict(input);
+  ASSERT_TRUE(gr.ok);
+  ASSERT_EQ(gr.resolved_by, RecoveryRung::kRedeploy);
+  ASSERT_EQ(gm.active_encoding(), EncodingKind::kDelta);  // first of kFallbackEncodings
+  expect_fresh(gm, ReencodeModel(SmallModel(35), EncodingKind::kDelta));
+
+  ASSERT_TRUE(gm.ResetToPrimary().ok());
+  ASSERT_EQ(gm.active_encoding(), EncodingKind::kBlock);
+  expect_fresh(gm, SmallModel(35));
 }
 
 // The budget boundary sweep: a compiled spin block whose cost would cross the deadline

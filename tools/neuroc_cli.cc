@@ -35,7 +35,9 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/adjacency_stats.h"
@@ -232,7 +234,7 @@ int CmdInspect(const Args& args) {
   }
   std::printf("model: %s\n", model->Summary().c_str());
   std::printf("weight bytes: %zu; estimated program memory: %zu B\n", model->WeightBytes(),
-              DeployedModel::EstimateProgramBytes(*model));
+              LinkModel(*model).program_bytes);
   for (size_t k = 0; k < model->layers().size(); ++k) {
     const QuantNeuroCLayer& l = model->layers()[k];
     std::printf("\nlayer %zu (%s, shift %d, in_frac %d -> out_frac %d):\n%s", k,
@@ -248,14 +250,16 @@ int CmdBench(const Args& args) {
     return 1;
   }
   const PlatformSpec& platform = PlatformByName(args.Get("platform", "STM32F072RB"));
-  const size_t bytes = DeployedModel::EstimateProgramBytes(*model);
+  const MachineConfig config = platform.ToMachineConfig();
+  LinkedModel linked = LinkModel(*model, config);
   std::printf("platform: %s (%s @ %.0f MHz, %u KB flash)\n", platform.name.c_str(),
               platform.core.c_str(), platform.clock_hz / 1e6, platform.flash_bytes / 1024);
-  if (bytes > platform.flash_bytes) {
-    std::printf("NOT DEPLOYABLE: needs %zu B of %u B flash\n", bytes, platform.flash_bytes);
+  if (linked.program_bytes > platform.flash_bytes) {
+    std::printf("NOT DEPLOYABLE: needs %zu B of %u B flash\n", linked.program_bytes,
+                platform.flash_bytes);
     return 1;
   }
-  DeployedModel deployed = DeployedModel::Deploy(*model, platform.ToMachineConfig());
+  DeployedModel deployed = DeployedModel::Deploy(std::move(linked), config);
   const ExecutionProfile profile = ProfileInference(deployed);
   std::printf("latency: %.3f ms (%llu cycles)\n", deployed.report().latency_ms,
               static_cast<unsigned long long>(deployed.report().cycles_per_inference));
@@ -283,6 +287,24 @@ bool MaybeReencode(const Args& args, NeuroCModel* model) {
   return true;
 }
 
+// Links `model` for `config` through the flash-budget fit-and-fallback, printing the
+// fallback taken or, when no encoding fits, the NOT DEPLOYABLE refusal.
+std::optional<LinkedModel> LinkOrRefuse(const NeuroCModel& model, const MachineConfig& config) {
+  DeployFallbackReport fallback;
+  StatusOr<LinkedModel> linked = LinkWithFallback(model, config, &fallback);
+  if (!linked.ok()) {
+    std::printf("NOT DEPLOYABLE: needs %zu B of %u B flash (%s)\n", fallback.requested_bytes,
+                config.flash_size, linked.status().ToString().c_str());
+    return std::nullopt;
+  }
+  if (fallback.fell_back) {
+    std::printf("flash fallback: %s (%zu B) -> %s (%zu B)\n",
+                EncodingKindName(fallback.requested), fallback.requested_bytes,
+                EncodingKindName(fallback.selected), fallback.selected_bytes);
+  }
+  return std::move(*linked);
+}
+
 int CmdProfile(const Args& args) {
   auto model = LoadOrComplain(args);
   if (!model) {
@@ -292,23 +314,19 @@ int CmdProfile(const Args& args) {
     return 2;
   }
   const PlatformSpec& platform = PlatformByName(args.Get("platform", "STM32F072RB"));
-  const size_t bytes = DeployedModel::EstimateProgramBytes(*model);
+  const MachineConfig config = platform.ToMachineConfig();
   std::printf("platform: %s (%s @ %.0f MHz, %u KB flash)\n", platform.name.c_str(),
               platform.core.c_str(), platform.clock_hz / 1e6, platform.flash_bytes / 1024);
   // Oversized models fall back to the fastest encoding that fits (unrolled kernels are
   // the usual reason: they trade flash for cycles).
-  DeployFallbackReport fallback;
-  StatusOr<DeployedModel> deployed_or =
-      DeployedModel::TryDeployWithFallback(*model, platform.ToMachineConfig(), &fallback);
-  if (!deployed_or.ok()) {
-    std::printf("NOT DEPLOYABLE: needs %zu B of %u B flash (%s)\n", bytes,
-                platform.flash_bytes, deployed_or.status().ToString().c_str());
+  std::optional<LinkedModel> linked = LinkOrRefuse(*model, config);
+  if (!linked) {
     return 1;
   }
-  if (fallback.fell_back) {
-    std::printf("flash fallback: %s (%zu B) -> %s (%zu B)\n",
-                EncodingKindName(fallback.requested), fallback.requested_bytes,
-                EncodingKindName(fallback.selected), fallback.selected_bytes);
+  StatusOr<DeployedModel> deployed_or = DeployedModel::TryDeploy(std::move(*linked), config);
+  if (!deployed_or.ok()) {
+    std::printf("NOT DEPLOYABLE: %s\n", deployed_or.status().ToString().c_str());
+    return 1;
   }
   DeployedModel deployed = std::move(*deployed_or);
   const InferenceProfile profile = ProfileInferenceDetailed(deployed);
@@ -371,7 +389,12 @@ int CmdDeploy(const Args& args) {
     return 0;
   }
   if (format == "hex") {
-    const std::string hex = FirmwareHexForModel(*model);
+    // The image that would be deployed: oversized models fall back like `profile`.
+    std::optional<LinkedModel> linked = LinkOrRefuse(*model, MachineConfig{});
+    if (!linked) {
+      return 1;
+    }
+    const std::string hex = FirmwareHex(*linked);
     std::ofstream(args.Get("out")) << hex;
     std::printf("wrote %s (%zu bytes of Intel HEX)\n", args.Get("out"), hex.size());
     return 0;
