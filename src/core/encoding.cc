@@ -1,5 +1,8 @@
 #include "src/core/encoding.h"
 
+#include <algorithm>
+#include <string>
+
 #include "src/common/check.h"
 #include "src/core/block_encoding.h"
 #include "src/core/csc_encoding.h"
@@ -41,6 +44,48 @@ std::unique_ptr<Encoding> BuildEncoding(EncodingKind kind, const TernaryMatrix& 
   }
   NEUROC_CHECK(false);
   return nullptr;
+}
+
+Status CheckEncodable(EncodingKind kind, const TernaryMatrix& matrix) {
+  if (kind == EncodingKind::kBlock || kind == EncodingKind::kUnrolled) {
+    return Status::Ok();
+  }
+  // The largest value the encoding stores at an ElementWidthFor-chosen width, mirroring
+  // each encoding's BuildPolarity: csc and mixed size their index elements for in_dim - 1,
+  // delta for its largest step.
+  uint64_t max_value = 0;
+  if (kind != EncodingKind::kDelta && matrix.in_dim() > 0) {
+    max_value = matrix.in_dim() - 1;
+  }
+  for (const bool positive : {true, false}) {
+    uint64_t total = 0;
+    for (size_t j = 0; j < matrix.out_dim(); ++j) {
+      const std::vector<uint32_t> idx =
+          positive ? matrix.PositiveIndices(j) : matrix.NegativeIndices(j);
+      total += idx.size();
+      if (kind == EncodingKind::kCsc) {
+        continue;
+      }
+      max_value = std::max<uint64_t>(max_value, idx.size());  // per-column count
+      if (kind == EncodingKind::kDelta) {
+        for (size_t k = 0; k < idx.size(); ++k) {
+          max_value = std::max<uint64_t>(max_value, k == 0 ? idx[0] : idx[k] - idx[k - 1]);
+        }
+      }
+    }
+    if (kind == EncodingKind::kCsc) {
+      max_value = std::max(max_value, total);  // the polarity's last column pointer
+    }
+  }
+  if (max_value <= 0xFFFF) {
+    return Status::Ok();
+  }
+  return Status(ErrorCode::kResourceExhausted,
+                std::string(EncodingKindName(kind)) + " cannot store a " +
+                    std::to_string(matrix.in_dim()) + "x" + std::to_string(matrix.out_dim()) +
+                    " layer of " + std::to_string(matrix.NonZeroCount()) +
+                    " nonzeros: value " + std::to_string(max_value) +
+                    " exceeds the 16-bit element range");
 }
 
 uint8_t ElementWidthFor(uint32_t max_value) {

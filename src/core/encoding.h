@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/core/ternary_matrix.h"
 
 namespace neuroc {
@@ -107,9 +108,15 @@ class Encoding {
   size_t out_dim_;
 };
 
-// Factory covering all four kinds.
+// Factory covering all five kinds. `matrix` must pass CheckEncodable for `kind`.
 std::unique_ptr<Encoding> BuildEncoding(EncodingKind kind, const TernaryMatrix& matrix,
                                         const EncodingOptions& options = {});
+
+// Whether `kind` can store `matrix`. The stream encodings (csc, delta, mixed) pick 1- or
+// 2-byte elements for their indices, per-column counts, delta steps and CSC pointers; a
+// value above 0xFFFF fits neither (a CSC polarity with more than 65,535 nonzeros, say).
+// kResourceExhausted names the value; block and unrolled store any matrix.
+Status CheckEncodable(EncodingKind kind, const TernaryMatrix& matrix);
 
 // ---------------------------------------------------------------------------
 // Shared helpers for the concrete encodings (exposed for tests).

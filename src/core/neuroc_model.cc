@@ -125,14 +125,18 @@ NeuroCModel StripScales(const NeuroCModel& model) {
   return NeuroCModel::FromLayers(std::move(layers));
 }
 
-NeuroCModel ReencodeModel(const NeuroCModel& model, EncodingKind kind,
-                          const EncodingOptions& options) {
+StatusOr<NeuroCModel> ReencodeModel(const NeuroCModel& model, EncodingKind kind,
+                                    const EncodingOptions& options) {
   std::vector<QuantNeuroCLayer> layers;
   for (const QuantNeuroCLayer& src : model.layers()) {
+    const TernaryMatrix matrix = src.encoding->Decode();
+    if (Status fits = CheckEncodable(kind, matrix); !fits.ok()) {
+      return fits;
+    }
     QuantNeuroCLayer l;
     l.in_dim = src.in_dim;
     l.out_dim = src.out_dim;
-    l.encoding = BuildEncoding(kind, src.encoding->Decode(), options);
+    l.encoding = BuildEncoding(kind, matrix, options);
     l.scale_q = src.scale_q;
     l.bias_q = src.bias_q;
     l.in_frac = src.in_frac;

@@ -102,10 +102,11 @@ NeuroCModel StripScales(const NeuroCModel& model);
 
 // Returns a copy of `model` with every layer's adjacency re-encoded as `kind` (identical
 // weights, scales, biases and requantization — only the storage scheme changes). Used by
-// `neuroc profile/deploy --encoding=...` and by the flash-budget fallback when an unrolled
-// image overflows the platform budget.
-NeuroCModel ReencodeModel(const NeuroCModel& model, EncodingKind kind,
-                          const EncodingOptions& options = {});
+// `neuroc profile/deploy --encoding=...`, by the flash-budget fallback when an unrolled
+// image overflows the platform budget, and by the recovery ladder's redeploy rung. Fails
+// with CheckEncodable's status when `kind` cannot store some layer.
+StatusOr<NeuroCModel> ReencodeModel(const NeuroCModel& model, EncodingKind kind,
+                                    const EncodingOptions& options = {});
 
 }  // namespace neuroc
 

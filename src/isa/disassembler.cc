@@ -39,7 +39,7 @@ std::string RegList(uint16_t mask, bool pop) {
 std::string Disassemble(const Instr& in, uint32_t addr) {
   const std::string name = OpName(in.op);
   auto r = [](uint8_t reg) { return std::string(RegName(reg)); };
-  auto imm = [](int32_t v) { return "#" + std::to_string(v); };
+  auto imm = [](int32_t v) { return std::string("#").append(std::to_string(v)); };
   switch (in.op) {
     case Op::kLslImm:
     case Op::kLsrImm:
@@ -133,7 +133,7 @@ std::string Disassemble(const Instr& in, uint32_t addr) {
     case Op::kNop:
       return "nop";
     case Op::kBcond:
-      return "b" + std::string(CondName(in.cond)) + " " + Hex(addr + 4 + in.imm);
+      return std::string("b").append(CondName(in.cond)) + " " + Hex(addr + 4 + in.imm);
     case Op::kB:
       return "b " + Hex(addr + 4 + in.imm);
     case Op::kBl:

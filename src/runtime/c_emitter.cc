@@ -178,7 +178,7 @@ CSources EmitCSources(const NeuroCModel& model, const std::string& prefix) {
       enc_src = reencoded.get();
     }
     const EncodingDeviceLayout lay = enc_src->Pack(blob);
-    const std::string ln = "l" + std::to_string(k);
+    const std::string ln = std::string("l").append(std::to_string(k));
     EmitByteArray(s, ln + "_enc", blob);
     if (l.has_scale()) {
       EmitI8Array(s, ln + "_scale", l.scale_q);

@@ -60,7 +60,11 @@ StatusOr<LinkedModel> LinkWithFallback(const NeuroCModel& model, const MachineCo
           " image needs " + std::to_string(r.requested_bytes) + " B of " +
           std::to_string(config.flash_size) + " B flash; falling back");
   for (const EncodingKind kind : kFallbackEncodings) {
-    LinkedModel candidate = LinkModel(ReencodeModel(model, kind), config);
+    StatusOr<NeuroCModel> reencoded = ReencodeModel(model, kind);
+    if (!reencoded.ok()) {
+      continue;  // `kind` cannot store some layer at all
+    }
+    LinkedModel candidate = LinkModel(*reencoded, config);
     if (candidate.program_bytes <= config.flash_size) {
       r.selected = kind;
       r.selected_bytes = candidate.program_bytes;

@@ -164,7 +164,11 @@ GuardedResult GuardedModel::Predict(std::span<const int8_t> input) {
   }
   if (policy_.redeploy) {
     for (const EncodingKind kind : kFallbackEncodings) {
-      if (kind == active_encoding_ || !DeployAndArm(ReencodeModel(model_, kind)).ok()) {
+      if (kind == active_encoding_) {
+        continue;
+      }
+      StatusOr<NeuroCModel> reencoded = ReencodeModel(model_, kind);
+      if (!reencoded.ok() || !DeployAndArm(*reencoded).ok()) {
         continue;
       }
       reg.GetCounter("recovery.redeploy").Add(1);

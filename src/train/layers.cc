@@ -37,7 +37,9 @@ const Tensor& DenseLayer::Backward(const Tensor& grad_output) {
   NEUROC_CHECK(grad_output.SameShape(output_));
   MatMulTransposeA(input_cache_, grad_output, grad_weights_);
   ColumnSums(grad_output, grad_bias_.flat());
-  MatMulTransposeB(grad_output, weights_, grad_input_);
+  if (needs_input_grad()) {  // stays empty in a network's first layer
+    MatMulTransposeB(grad_output, weights_, grad_input_);
+  }
   return grad_input_;
 }
 

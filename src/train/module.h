@@ -31,7 +31,8 @@ class Module {
 
   // Given dLoss/dOutput, accumulates parameter gradients and returns dLoss/dInput.
   // Must be called after a Forward with training == true on the same batch (eval-mode
-  // forwards skip the activation caches that backward passes consume).
+  // forwards skip the activation caches that backward passes consume). The first module of
+  // a Network may return an empty tensor instead: see needs_input_grad().
   virtual const Tensor& Backward(const Tensor& grad_output) = 0;
 
   // Appends this module's trainable parameters.
@@ -44,6 +45,15 @@ class Module {
   // "total parameters" axes). Differs from trainable parameter count for ternary layers,
   // where the deployed cost is |nonzero adjacency entries| + neurons, not the latent floats.
   virtual size_t DeployedParameterCount() const { return 0; }
+
+ protected:
+  // False for the first module of a Network, whose input gradient nobody reads (it would
+  // be dLoss/dData): layers that pay for an input gradient skip it there.
+  bool needs_input_grad() const { return needs_input_grad_; }
+
+ private:
+  friend class Network;  // marks its first module when it is added
+  bool needs_input_grad_ = true;
 };
 
 }  // namespace neuroc

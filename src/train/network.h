@@ -24,6 +24,9 @@ class Network {
   ModuleT* Add(Args&&... args) {
     auto mod = std::make_unique<ModuleT>(std::forward<Args>(args)...);
     ModuleT* raw = mod.get();
+    if (modules_.empty()) {
+      raw->needs_input_grad_ = false;
+    }
     modules_.push_back(std::move(mod));
     return raw;
   }

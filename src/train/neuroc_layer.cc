@@ -165,16 +165,18 @@ const Tensor& NeuroCLayer::Backward(const Tensor& grad_output) {
   // Latent gradient through the ternarizer (straight-through): dL/dW = x^T gz, clipped.
   EnsureTernarized();
   if (cfg_.use_sparse_kernels) {
-    SparseGradLatent(input_cache_, *gz, grad_latent_);
+    SparseGradLatent(input_cache_, *gz, latent_, cfg_.ternary.ste_clip, grad_latent_);
   } else {
     MatMulTransposeA(input_cache_, *gz, grad_latent_);
+    ApplySteClip(latent_, cfg_.ternary.ste_clip, grad_latent_);
   }
-  ApplySteClip(latent_, cfg_.ternary.ste_clip, grad_latent_);
-  // Input gradient through the ternary adjacency.
-  if (cfg_.use_sparse_kernels) {
-    SparseGradInput(*gz, sparse_, grad_input_);
-  } else {
-    MatMulTransposeB(*gz, Adjacency(), grad_input_);
+  // Input gradient through the ternary adjacency; it stays empty in a network's first layer.
+  if (needs_input_grad()) {
+    if (cfg_.use_sparse_kernels) {
+      SparseGradInput(*gz, sparse_, grad_input_);
+    } else {
+      MatMulTransposeB(*gz, Adjacency(), grad_input_);
+    }
   }
   // The optimizer steps the latent weights right after Backward, so the ternarization
   // computed for this step is about to go stale.
@@ -281,9 +283,11 @@ const Tensor& FixedAdjacencyLayer::Backward(const Tensor& grad_output) {
   NEUROC_CHECK(grad_output.SameShape(output_));
   ColumnSums(grad_output, grad_bias_.flat());
   GradScale(grad_output, presum_, grad_scale_);
-  Tensor gz;
-  ScaleColumns(grad_output, scale_, gz);
-  MatMulTransposeB(gz, adjacency_, grad_input_);
+  if (needs_input_grad()) {  // stays empty in a network's first layer
+    Tensor gz;
+    ScaleColumns(grad_output, scale_, gz);
+    MatMulTransposeB(gz, adjacency_, grad_input_);
+  }
   return grad_input_;
 }
 

@@ -6,9 +6,12 @@
 // rebuilt lazily, so eval-mode forwards between steps reuse it — with straight-through
 // gradients), `w` is the per-neuron scale that replaces batch normalization, and `b` the
 // per-neuron bias. The hot path runs on the sparse signed-index kernels of
-// sparse_kernels.h; `use_sparse_kernels = false` restores the legacy dense-MatMul trainer.
-// Disabling the scale (`use_per_neuron_scale = false`) yields the conventional-TNN ablation
-// of the paper's Sec. 5.2 / Fig. 8.
+// sparse_kernels.h: the once-per-step ternarization (threshold selection and view build)
+// runs on the shared thread pool, the STE clip is fused into the latent-gradient kernel,
+// and the first layer of a Network skips its input gradient, which nothing reads.
+// `use_sparse_kernels = false` restores the legacy dense-MatMul trainer, the bit-exact
+// oracle. Disabling the scale (`use_per_neuron_scale = false`) yields the conventional-TNN
+// ablation of the paper's Sec. 5.2 / Fig. 8.
 //
 // FixedAdjacencyLayer freezes A at construction using one of the paper's Fig. 1 strategies
 // (random, constrained-random, spatial locality) and trains only scale and bias.

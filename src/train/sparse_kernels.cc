@@ -1,6 +1,7 @@
 #include "src/train/sparse_kernels.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -19,74 +20,93 @@ void EnsureShape(Tensor& t, size_t rows, size_t cols) {
 // feeds several rows (the stream is the memory-bound part at low density).
 constexpr size_t kRowBlock = 8;
 
+// Latent entries per chunk of the view build's parallel scans. A scan costs about one
+// compare per entry, so a paper-scale first layer (784×256) splits into a handful of chunks
+// and the small layers build in-line.
+constexpr size_t kScanChunkEntries = size_t{1} << 15;
+
+// Stores the keep flag (w > t or w < -t) of every entry of rows [i0, i1) and each row's
+// count at row_ptr[i + 1]. A free function, so the bounds are locals: in a lambda they would
+// be read through the closure, which a byte store may alias, and the flag loop would not
+// vectorize.
+void FlagRows(const float* data, size_t cols, float threshold, uint8_t* keep,
+              uint32_t* row_ptr, size_t i0, size_t i1) {
+  for (size_t i = i0; i < i1; ++i) {
+    const float* row = data + i * cols;
+    uint8_t* krow = keep + i * cols;
+    uint32_t count = 0;
+    for (size_t j = 0; j < cols; ++j) {
+      krow[j] = static_cast<uint8_t>((row[j] > threshold) | (row[j] < -threshold));
+      count += krow[j];
+    }
+    row_ptr[i + 1] = count;
+  }
+}
+
 // Fills `m` in place; all buffers are assign()/resize()d so repeated rebuilds into the same
-// object reuse capacity instead of reallocating.
-template <typename Classify>
+// object reuse capacity instead of reallocating. With threshold >= 0 a kept entry has the
+// sign of w.
 void BuildInto(SparseTernaryMatrix& m, size_t rows, size_t cols, const float* data,
-               Classify classify) {
+               float threshold) {
+  NEUROC_CHECK(threshold >= 0.0f);
   m.rows = rows;
   m.cols = cols;
-  m.pos_ptr.assign(cols + 1, 0);
-  m.neg_ptr.assign(cols + 1, 0);
-  m.ptr.assign(cols + 1, 0);
-  // The counting pass memoizes each entry's class so the fill pass reads one byte per
-  // element instead of re-reading and re-classifying the float data.
-  thread_local std::vector<int8_t> cls;
-  cls.resize(rows * cols);
-  for (size_t i = 0; i < rows; ++i) {
-    const float* row = data + i * cols;
-    int8_t* crow = cls.data() + i * cols;
-    for (size_t j = 0; j < cols; ++j) {
-      const int s = classify(row[j]);
-      crow[j] = static_cast<int8_t>(s);
-      if (s > 0) {
-        ++m.pos_ptr[j + 1];
-      } else if (s < 0) {
-        ++m.neg_ptr[j + 1];
-      }
-    }
-  }
-  for (size_t j = 0; j < cols; ++j) {
-    m.pos_ptr[j + 1] += m.pos_ptr[j];
-    m.neg_ptr[j + 1] += m.neg_ptr[j];
-    m.ptr[j + 1] = m.pos_ptr[j + 1] + m.neg_ptr[j + 1];
-  }
-  const size_t nnz = m.ptr[cols];
-  m.pos_idx.resize(m.pos_ptr[cols]);
-  m.neg_idx.resize(m.neg_ptr[cols]);
-  m.idx.resize(nnz);
-  m.sign.resize(nnz);
+  // Row view, in parallel by rows. The first pass stores a keep flag per entry (it
+  // vectorizes) and counts each row; after a prefix sum over the counts, the second pass
+  // fills every row at its final offset. Chunks own disjoint rows, so the view is the same
+  // for any worker count.
+  thread_local std::vector<uint8_t> keep_storage;
+  keep_storage.resize(rows * cols);
+  uint8_t* keep = keep_storage.data();
   m.row_ptr.assign(rows + 1, 0);
+  uint32_t* row_ptr = m.row_ptr.data();
+  const size_t grain = std::max<size_t>(1, kScanChunkEntries / std::max<size_t>(1, cols));
+  ParallelFor(0, rows, grain, [&](size_t i0, size_t i1) {
+    FlagRows(data, cols, threshold, keep, row_ptr, i0, i1);
+  });
+  for (size_t i = 0; i < rows; ++i) {
+    row_ptr[i + 1] += row_ptr[i];
+  }
+  const size_t nnz = row_ptr[rows];
   m.row_idx.resize(nnz);
   m.row_sign.resize(nnz);
-  thread_local std::vector<uint32_t> pos_cur, neg_cur, all_cur;
-  pos_cur.assign(m.pos_ptr.begin(), m.pos_ptr.end() - 1);
-  neg_cur.assign(m.neg_ptr.begin(), m.neg_ptr.end() - 1);
-  all_cur.assign(m.ptr.begin(), m.ptr.end() - 1);
-  // Row-major scan pushes ascending row indices into every column list; the same scan emits
-  // the row-major view contiguously (ascending columns within each row), so a single running
-  // cursor fills it.
-  size_t row_cursor = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    const int8_t* crow = cls.data() + i * cols;
-    for (size_t j = 0; j < cols; ++j) {
-      const int s = crow[j];
-      if (s == 0) {
-        continue;
+  uint32_t* row_idx = m.row_idx.data();
+  float* row_sign = m.row_sign.data();
+  ParallelFor(0, rows, grain, [&](size_t i0, size_t i1) {
+    for (size_t i = i0; i < i1; ++i) {
+      const float* row = data + i * cols;
+      const uint8_t* krow = keep + i * cols;
+      // Branch-free compaction: every entry is stored at the cursor, which advances only
+      // past kept entries. The loop stops once the row's count is reached, so no store
+      // lands in the next row's slots (which another chunk may own).
+      uint32_t k = row_ptr[i];
+      const uint32_t end = row_ptr[i + 1];
+      for (size_t j = 0; j < cols && k < end; ++j) {
+        row_idx[k] = static_cast<uint32_t>(j);
+        row_sign[k] = std::copysign(1.0f, row[j]);
+        k += krow[j];
       }
-      if (s > 0) {
-        m.pos_idx[pos_cur[j]++] = static_cast<uint32_t>(i);
-      } else {
-        m.neg_idx[neg_cur[j]++] = static_cast<uint32_t>(i);
-      }
-      m.idx[all_cur[j]] = static_cast<uint32_t>(i);
-      m.sign[all_cur[j]] = s > 0 ? 1.0f : -1.0f;
-      ++all_cur[j];
-      m.row_idx[row_cursor] = static_cast<uint32_t>(j);
-      m.row_sign[row_cursor] = s > 0 ? 1.0f : -1.0f;
-      ++row_cursor;
     }
-    m.row_ptr[i + 1] = static_cast<uint32_t>(row_cursor);
+  });
+  // Column view: the O(nnz) transpose of the row view. Scanning rows in ascending order
+  // appends ascending row indices to every column.
+  m.ptr.assign(cols + 1, 0);
+  for (size_t k = 0; k < nnz; ++k) {
+    ++m.ptr[row_idx[k] + 1];
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    m.ptr[j + 1] += m.ptr[j];
+  }
+  m.idx.resize(nnz);
+  m.sign.resize(nnz);
+  thread_local std::vector<uint32_t> cursor;
+  cursor.assign(m.ptr.begin(), m.ptr.end() - 1);
+  for (size_t i = 0; i < rows; ++i) {
+    for (uint32_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+      const uint32_t dst = cursor[row_idx[k]]++;
+      m.idx[dst] = static_cast<uint32_t>(i);
+      m.sign[dst] = row_sign[k];
+    }
   }
 }
 
@@ -100,19 +120,15 @@ SparseTernaryMatrix SparseTernaryMatrix::FromLatent(const Tensor& latent, float 
 
 void SparseTernaryMatrix::AssignFromLatent(const Tensor& latent, float threshold) {
   NEUROC_CHECK(latent.rank() == 2);
-  BuildInto(*this, latent.rows(), latent.cols(), latent.data(), [threshold](float w) {
-    return w > threshold ? 1 : (w < -threshold ? -1 : 0);
-  });
+  BuildInto(*this, latent.rows(), latent.cols(), latent.data(), threshold);
 }
 
 SparseTernaryMatrix SparseTernaryMatrix::FromDense(const Tensor& adjacency) {
-  NEUROC_CHECK(adjacency.rank() == 2);
-  SparseTernaryMatrix m;
-  BuildInto(m, adjacency.rows(), adjacency.cols(), adjacency.data(), [](float a) {
+  for ([[maybe_unused]] const float a : adjacency.flat()) {
     NEUROC_DCHECK(a == 0.0f || a == 1.0f || a == -1.0f);
-    return a > 0.0f ? 1 : (a < 0.0f ? -1 : 0);
-  });
-  return m;
+  }
+  // Entries in {-1, 0, +1} ternarize to themselves at threshold 0.
+  return FromLatent(adjacency, 0.0f);
 }
 
 void SparseTernaryMatrix::ToDense(Tensor& out) const {
@@ -183,15 +199,18 @@ void SparseGradInput(const Tensor& gz, const SparseTernaryMatrix& a, Tensor& out
   });
 }
 
-void SparseGradLatent(const Tensor& x, const Tensor& gz, Tensor& out) {
+void SparseGradLatent(const Tensor& x, const Tensor& gz, const Tensor& latent, float clip,
+                      Tensor& out) {
   NEUROC_CHECK(x.rank() == 2 && gz.rank() == 2);
   NEUROC_CHECK(x.rows() == gz.rows());
+  NEUROC_CHECK(latent.rank() == 2 && latent.rows() == x.cols() && latent.cols() == gz.cols());
   const size_t n = x.rows();
   const size_t in = x.cols();
   const size_t cols = gz.cols();
   EnsureShape(out, in, cols);
   const float* xd = x.data();
   const float* gd = gz.data();
+  const float* wd = latent.data();
   float* od = out.data();
   ParallelFor(0, in, GrainForOps(n * cols), [&](size_t ib0, size_t ib1) {
     for (size_t ib = ib0; ib < ib1; ib += kRowBlock) {
@@ -242,6 +261,14 @@ void SparseGradLatent(const Tensor& x, const Tensor& gz, Tensor& out) {
           for (size_t j = 0; j < cols; ++j) {
             orow[j] += v * grow[j];
           }
+        }
+      }
+      // STE clip epilogue: the block's gradient rows are final and still in cache.
+      for (size_t t = 0; t < nb; ++t) {
+        float* __restrict orow = od + (ib + t) * cols;
+        const float* __restrict wrow = wd + (ib + t) * cols;
+        for (size_t j = 0; j < cols; ++j) {
+          orow[j] = std::fabs(wrow[j]) > clip ? 0.0f : orow[j];
         }
       }
     }

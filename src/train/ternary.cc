@@ -7,46 +7,125 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 #include "src/tensor/matrix_ops.h"
 
 namespace neuroc {
 
 namespace {
 
-// k-th smallest magnitude (0-indexed) via radix bucketing on the IEEE-754 bit pattern.
-// For non-negative floats the bit pattern is monotonic in the value, so the k-th smallest
-// 32-bit key IS the k-th smallest |w| — the exact order statistic std::nth_element on
-// fabs values would return, but in ~two branch-light linear passes instead of introselect's
-// compare-and-swap churn. This runs once per layer per optimizer step, which made it one of
-// the hottest density-independent costs in the training profile.
+// |w| as its IEEE-754 bit pattern. For non-negative floats the pattern is monotonic in
+// the value, so the k-th smallest key IS the k-th smallest |w|.
+inline uint32_t MagnitudeKey(float w) { return std::bit_cast<uint32_t>(w) & 0x7fffffffu; }
+
+// Radix levels over the 31 key bits: 10 + 11 + 10.
+constexpr int kHiShift = 21;  // level 1: exponent + 2 mantissa bits
+constexpr int kMidShift = 10;
+constexpr uint32_t kMidMask = 0x7ffu;
+constexpr uint32_t kLoMask = 0x3ffu;
+constexpr size_t kHiBuckets = size_t{1} << (31 - kHiShift);
+// Latent entries per level-1 histogram block; chunks of ParallelFor own whole blocks.
+constexpr size_t kSelectBlock = size_t{1} << 16;
+constexpr size_t kSelectGrainBlocks = 1;
+
+// Returns the bucket holding the k-th smallest entry (0-indexed) of a histogram and
+// subtracts the counts of the buckets below it from k.
+size_t FindBucket(const uint32_t* hist, size_t buckets, size_t& k) {
+  size_t b = 0;
+  while (b + 1 < buckets && hist[b] <= k) {
+    k -= hist[b];
+    ++b;
+  }
+  return b;
+}
+
+// k-th smallest magnitude (0-indexed): the exact order statistic std::nth_element on fabs
+// values would return, by three radix levels on MagnitudeKey. Level 1 histograms the top
+// key bits per fixed block, in parallel; the counts are integers, so merging them gives
+// the same totals at any worker count. Each block then compacts its keys that fall in the
+// selected bucket (a ~1/10 sample at paper scale), branch-free, to an offset fixed by the
+// block counts. Levels 2 and 3 histogram that sample on the middle and low key bits. This
+// runs once per layer per optimizer step.
 float SelectMagnitude(const Tensor& latent, size_t k) {
-  thread_local std::vector<uint32_t> keys;
-  thread_local std::vector<uint32_t> bucket_keys;
   const size_t n = latent.size();
-  keys.resize(n);
-  constexpr int kShift = 21;  // bucket on sign(=0 after abs) + exponent + 2 mantissa bits
-  uint32_t hist[1u << (31 - kShift + 1)] = {0};
   const float* src = latent.data();
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t key = std::bit_cast<uint32_t>(src[i]) & 0x7fffffffu;  // |w| bitwise
-    keys[i] = key;
-    ++hist[key >> kShift];
-  }
-  size_t before = 0;
-  uint32_t bucket = 0;
-  while (before + hist[bucket] <= k) {
-    before += hist[bucket];
-    ++bucket;
-  }
-  bucket_keys.clear();
-  for (const uint32_t key : keys) {
-    if ((key >> kShift) == bucket) {
-      bucket_keys.push_back(key);
+  const size_t blocks = (n + kSelectBlock - 1) / kSelectBlock;
+  thread_local std::vector<uint32_t> hist_storage;
+  thread_local std::vector<uint32_t> candidate_storage;
+  thread_local std::vector<size_t> offset_storage;
+  hist_storage.assign(blocks * kHiBuckets + kHiBuckets, 0);
+  uint32_t* hist = hist_storage.data();  // [blocks][kHiBuckets], then the merged totals
+  ParallelFor(0, blocks, kSelectGrainBlocks, [&](size_t b0, size_t b1) {
+    // Latents cluster in a few buckets, so consecutive increments of one counter would
+    // serialize on store-to-load forwarding; four interleaved counters per bucket keep
+    // four chains in flight.
+    uint32_t lanes[4][kHiBuckets];
+    for (size_t b = b0; b < b1; ++b) {
+      std::fill(&lanes[0][0], &lanes[0][0] + 4 * kHiBuckets, 0u);
+      const size_t begin = b * kSelectBlock;
+      const size_t end = std::min(n, begin + kSelectBlock);
+      size_t i = begin;
+      for (; i + 4 <= end; i += 4) {
+        ++lanes[0][MagnitudeKey(src[i]) >> kHiShift];
+        ++lanes[1][MagnitudeKey(src[i + 1]) >> kHiShift];
+        ++lanes[2][MagnitudeKey(src[i + 2]) >> kHiShift];
+        ++lanes[3][MagnitudeKey(src[i + 3]) >> kHiShift];
+      }
+      for (; i < end; ++i) {
+        ++lanes[0][MagnitudeKey(src[i]) >> kHiShift];
+      }
+      uint32_t* h = hist + b * kHiBuckets;
+      for (size_t v = 0; v < kHiBuckets; ++v) {
+        h[v] = lanes[0][v] + lanes[1][v] + lanes[2][v] + lanes[3][v];
+      }
+    }
+  });
+  uint32_t* total = hist + blocks * kHiBuckets;
+  for (size_t b = 0; b < blocks; ++b) {
+    for (size_t v = 0; v < kHiBuckets; ++v) {
+      total[v] += hist[b * kHiBuckets + v];
     }
   }
-  const auto nth = bucket_keys.begin() + static_cast<ptrdiff_t>(k - before);
-  std::nth_element(bucket_keys.begin(), nth, bucket_keys.end());
-  return std::bit_cast<float>(*nth);
+  const uint32_t hi = static_cast<uint32_t>(FindBucket(total, kHiBuckets, k));
+  // Block b's candidates go to [offset[b], offset[b] + count): each region has one spare
+  // slot, because the branch-free compaction stores every key at the cursor.
+  offset_storage.resize(blocks + 1);
+  size_t* offset = offset_storage.data();
+  offset[0] = 0;
+  for (size_t b = 0; b < blocks; ++b) {
+    offset[b + 1] = offset[b] + hist[b * kHiBuckets + hi] + 1;
+  }
+  candidate_storage.resize(offset[blocks]);
+  uint32_t* candidates = candidate_storage.data();
+  ParallelFor(0, blocks, kSelectGrainBlocks, [&](size_t b0, size_t b1) {
+    for (size_t b = b0; b < b1; ++b) {
+      uint32_t* out = candidates + offset[b];
+      size_t c = 0;
+      const size_t end = std::min(n, (b + 1) * kSelectBlock);
+      for (size_t i = b * kSelectBlock; i < end; ++i) {
+        const uint32_t key = MagnitudeKey(src[i]);
+        out[c] = key;
+        c += (key >> kHiShift) == hi;
+      }
+    }
+  });
+  uint32_t mid_hist[kMidMask + 1] = {0};
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint32_t* in = candidates + offset[b];
+    for (size_t c = 0, e = offset[b + 1] - offset[b] - 1; c < e; ++c) {
+      ++mid_hist[(in[c] >> kMidShift) & kMidMask];
+    }
+  }
+  const uint32_t mid = static_cast<uint32_t>(FindBucket(mid_hist, kMidMask + 1, k));
+  uint32_t lo_hist[kLoMask + 1] = {0};
+  for (size_t b = 0; b < blocks; ++b) {
+    const uint32_t* in = candidates + offset[b];
+    for (size_t c = 0, e = offset[b + 1] - offset[b] - 1; c < e; ++c) {
+      lo_hist[in[c] & kLoMask] += ((in[c] >> kMidShift) & kMidMask) == mid;
+    }
+  }
+  const uint32_t lo = static_cast<uint32_t>(FindBucket(lo_hist, kLoMask + 1, k));
+  return std::bit_cast<float>((hi << kHiShift) | (mid << kMidShift) | lo);
 }
 
 }  // namespace

@@ -25,7 +25,9 @@ struct TernaryConfig {
   float target_density = 0.2f;
 };
 
-// Computes the ternarization threshold for the latent weights.
+// Computes the ternarization threshold for the latent weights. Under target_density it is
+// the exact order statistic of |W|, selected on the shared thread pool and the same at any
+// worker count.
 float TernaryThreshold(const Tensor& latent, const TernaryConfig& cfg);
 
 // Writes sign values in {-1, 0, +1} (as float) into `out` (same shape as latent).
@@ -35,6 +37,7 @@ void Ternarize(const Tensor& latent, float threshold, Tensor& out);
 void TernarizeToInt8(const Tensor& latent, float threshold, std::vector<int8_t>& out);
 
 // Masks `grad` in place: entries where |latent| > clip receive zero gradient (STE clip).
+// The sparse trainer fuses the same mask into SparseGradLatent; the dense oracle calls this.
 void ApplySteClip(const Tensor& latent, float clip, Tensor& grad);
 
 // Number of nonzero entries after ternarization at the given threshold.

@@ -168,6 +168,34 @@ TEST(EncodingTest, ElementWidthSelection) {
   EXPECT_EQ(ElementWidthFor(65535), 2);
 }
 
+// CheckEncodable accepts exactly the matrices whose stored values all fit 16-bit elements,
+// so every accepted one builds (BuildEncoding would abort on the others).
+TEST(EncodingTest, CheckEncodableFindsTheValueBeyondSixteenBits) {
+  Rng rng(61);
+  // 784×256 at density 0.7: ~70k nonzeros per polarity overflow a CSC pointer, while the
+  // per-column counts and steps of delta and mixed stay small.
+  const TernaryMatrix wide = TernaryMatrix::Random(784, 256, 0.7, rng);
+  const Status csc = CheckEncodable(EncodingKind::kCsc, wide);
+  EXPECT_EQ(csc.code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(csc.ToString().find("exceeds the 16-bit element range"), std::string::npos)
+      << csc.ToString();
+  for (EncodingKind kind : {EncodingKind::kDelta, EncodingKind::kMixed, EncodingKind::kBlock,
+                            EncodingKind::kUnrolled}) {
+    EXPECT_TRUE(CheckEncodable(kind, wide).ok()) << EncodingKindName(kind);
+    EXPECT_EQ(BuildEncoding(kind, wide)->Decode(), wide) << EncodingKindName(kind);
+  }
+  // A 70,000-input column with one nonzero near the top: csc and mixed size their indices
+  // for in_dim - 1 and cannot store it; delta's only step is the index itself.
+  TernaryMatrix tall(70000, 1);
+  tall.set(5, 0, 1);
+  EXPECT_FALSE(CheckEncodable(EncodingKind::kCsc, tall).ok());
+  EXPECT_FALSE(CheckEncodable(EncodingKind::kMixed, tall).ok());
+  EXPECT_TRUE(CheckEncodable(EncodingKind::kDelta, tall).ok());
+  EXPECT_EQ(BuildEncoding(EncodingKind::kDelta, tall)->Decode(), tall);
+  tall.set(69999, 0, -1);
+  EXPECT_FALSE(CheckEncodable(EncodingKind::kDelta, tall).ok());
+}
+
 TEST(EncodingTest, AppendArrayLittleEndianAndAligned) {
   std::vector<uint8_t> blob{0xAA};  // odd size to force alignment pad
   std::vector<uint32_t> values{0x1234, 0x5678};

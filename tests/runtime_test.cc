@@ -202,6 +202,23 @@ TEST(DeployFallbackTest, NothingFitsReportsResourceExhausted) {
   EXPECT_NE(linked.status().ToString().find("no encoding fits"), std::string::npos);
 }
 
+// A layer with more than 65,535 nonzeros of one polarity fits no 16-bit CSC pointer. The
+// csc re-encode reports that as a status, and the fallback skips the candidate instead of
+// aborting: here nothing else fits the default flash either, so the link fails cleanly.
+TEST(DeployFallbackTest, UnencodableCandidateIsSkipped) {
+  NeuroCModel model = MakeWideLayerModel(EncodingKind::kBlock, 784, 256, 0.7);
+  StatusOr<NeuroCModel> csc = ReencodeModel(model, EncodingKind::kCsc);
+  ASSERT_FALSE(csc.ok());
+  EXPECT_EQ(csc.status().code(), ErrorCode::kResourceExhausted);
+  ASSERT_TRUE(ReencodeModel(model, EncodingKind::kDelta).ok());
+  DeployFallbackReport report;
+  StatusOr<LinkedModel> linked = LinkWithFallback(model, {}, &report);
+  ASSERT_FALSE(linked.ok());
+  EXPECT_TRUE(report.fell_back);
+  EXPECT_EQ(linked.status().code(), ErrorCode::kResourceExhausted);
+  EXPECT_NE(linked.status().ToString().find("no encoding fits"), std::string::npos);
+}
+
 TEST(DeployFallbackTest, HexExportOfOversizedModelStaysInFlash) {
   // The hex export goes through the same fit-and-fallback as deployment: the oversized
   // unrolled model exports its delta fallback, every byte inside the device's flash.
@@ -212,7 +229,7 @@ TEST(DeployFallbackTest, HexExportOfOversizedModelStaysInFlash) {
   auto chunks = ParseIntelHex(FirmwareHex(*linked));
   ASSERT_TRUE(chunks.has_value());
   ASSERT_FALSE(chunks->empty());
-  DeployedModel deployed = DeployedModel::Deploy(ReencodeModel(model, EncodingKind::kDelta));
+  DeployedModel deployed = DeployedModel::Deploy(*ReencodeModel(model, EncodingKind::kDelta));
   for (const FirmwareChunk& chunk : *chunks) {
     EXPECT_GE(chunk.addr, config.flash_base);
     EXPECT_LE(chunk.addr + chunk.bytes.size(), config.flash_base + config.flash_size);

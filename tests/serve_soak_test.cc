@@ -45,7 +45,7 @@ TEST(ServeSoakTest, ManyTenantsManyInFlightAllAnsweredCorrectly) {
   cfg.cache_capacity = kCacheCapacity;
   std::map<std::string, uint64_t> seeds;
   for (size_t m = 0; m < kModels; ++m) {
-    seeds["m" + std::to_string(m)] = 300 + m;
+    seeds[std::string("m").append(std::to_string(m))] = 300 + m;
   }
   InferenceService service(cfg, [seeds](const std::string& name) -> StatusOr<NeuroCModel> {
     const auto it = seeds.find(name);
@@ -78,8 +78,8 @@ TEST(ServeSoakTest, ManyTenantsManyInFlightAllAnsweredCorrectly) {
         const size_t model = rng.NextBounded(kModels);
         ServeRequest req;
         req.request_id = t * 1000 + i;
-        req.tenant = "tenant" + std::to_string(t);
-        req.model = "m" + std::to_string(model);
+        req.tenant = std::string("tenant").append(std::to_string(t));
+        req.model = std::string("m").append(std::to_string(model));
         req.input.resize(kInDim);
         for (int8_t& v : req.input) {
           v = static_cast<int8_t>(rng.NextInt(-128, 127));

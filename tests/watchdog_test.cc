@@ -228,7 +228,7 @@ TEST(WatchdogTest, RedeployAndResetMatchAFreshGuardedLoad) {
   ASSERT_TRUE(gr.ok);
   ASSERT_EQ(gr.resolved_by, RecoveryRung::kRedeploy);
   ASSERT_EQ(gm.active_encoding(), EncodingKind::kDelta);  // first of kFallbackEncodings
-  expect_fresh(gm, ReencodeModel(SmallModel(35), EncodingKind::kDelta));
+  expect_fresh(gm, *ReencodeModel(SmallModel(35), EncodingKind::kDelta));
 
   ASSERT_TRUE(gm.ResetToPrimary().ok());
   ASSERT_EQ(gm.active_encoding(), EncodingKind::kBlock);

@@ -272,19 +272,26 @@ int CmdBench(const Args& args) {
 bool ParseEncodingKind(const std::string& text, EncodingKind* out);
 
 // Applies --encoding=<kind>: re-encodes every layer of the loaded model in place, so any
-// model file can be profiled or exported under any of the five encodings.
-bool MaybeReencode(const Args& args, NeuroCModel* model) {
+// model file can be profiled or exported under any of the five encodings. Returns the exit
+// code to stop with (2: unknown encoding, 1: NOT DEPLOYABLE, the encoding cannot store the
+// model), or 0 to go on.
+int MaybeReencode(const Args& args, NeuroCModel* model) {
   if (!args.Has("encoding")) {
-    return true;
+    return 0;
   }
   EncodingKind kind;
   if (!ParseEncodingKind(args.Get("encoding"), &kind)) {
     std::fprintf(stderr, "unknown encoding: %s (csc|delta|mixed|block|unrolled)\n",
                  args.Get("encoding"));
-    return false;
+    return 2;
   }
-  *model = ReencodeModel(*model, kind);
-  return true;
+  StatusOr<NeuroCModel> reencoded = ReencodeModel(*model, kind);
+  if (!reencoded.ok()) {
+    std::printf("NOT DEPLOYABLE: %s\n", reencoded.status().ToString().c_str());
+    return 1;
+  }
+  *model = std::move(*reencoded);
+  return 0;
 }
 
 // Links `model` for `config` through the flash-budget fit-and-fallback, printing the
@@ -310,8 +317,8 @@ int CmdProfile(const Args& args) {
   if (!model) {
     return 1;
   }
-  if (!MaybeReencode(args, &*model)) {
-    return 2;
+  if (const int rc = MaybeReencode(args, &*model); rc != 0) {
+    return rc;
   }
   const PlatformSpec& platform = PlatformByName(args.Get("platform", "STM32F072RB"));
   const MachineConfig config = platform.ToMachineConfig();
@@ -373,8 +380,8 @@ int CmdDeploy(const Args& args) {
   if (!model || !args.Has("format") || !args.Has("out")) {
     return model ? Usage() : 1;
   }
-  if (!MaybeReencode(args, &*model)) {
-    return 2;
+  if (const int rc = MaybeReencode(args, &*model); rc != 0) {
+    return rc;
   }
   const std::string format = args.Get("format");
   if (format == "c") {
